@@ -152,7 +152,6 @@ trajectory_path, run_path, against = sys.argv[1:4]
 # recorded before a bench switched to UseManualTime stay comparable.
 WATCHED = (
     "bm_wmed_evaluate",
-    "bm_wmed_evaluate_batch",
     "bm_evolver_generation",
     "bm_evolver_generation_adder",
     "bm_evolver_generation_mt/2",

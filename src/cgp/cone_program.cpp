@@ -61,22 +61,23 @@ void cone_program::bind(const genotype& parent) {
   fns_valid_ = false;
 }
 
-bool cone_program::classify(const genotype& parent, const genotype& child,
-                            std::span<const std::uint32_t> dirty,
-                            bool& activation, bool& deactivation) {
+cone_program::delta cone_program::apply(const genotype& parent,
+                                        const genotype& child,
+                                        std::span<const std::uint32_t> dirty) {
+  AXC_EXPECTS(child_dirty_.empty());  // previous child must be released
   const parameters& p = parent.params();
   const std::size_t node_gene_count = p.node_count() * 3;
   const std::uint32_t ni = static_cast<std::uint32_t>(p.num_inputs);
   const std::vector<circuit::gate_fn>& fs = p.function_set;
 
-  // Classify the mutation against the bound parent and fold its
+  // Pass 1 — classify the mutation against the bound parent and fold its
   // dependence-edge deltas into the reference counts.  A gene is
   // *effective* when its value actually changed and the phenotype can see
   // it (active node or output gene); only effective changes touch edges,
   // so an identical verdict leaves the counts untouched.
   bool effective = false;
-  activation = false;    // some node gained its first reference
-  deactivation = false;  // some node lost its last reference
+  bool activation = false;    // some node gained its first reference
+  bool deactivation = false;  // some node lost its last reference
   ref_journal_.clear();
   seen_nodes_.clear();
   seen_outputs_.clear();
@@ -130,22 +131,7 @@ bool cone_program::classify(const genotype& parent, const genotype& child,
       if (in1_read) bump(cn.in1, +1);
     }
   }
-  return effective;
-}
-
-cone_program::delta cone_program::apply(const genotype& parent,
-                                        const genotype& child,
-                                        std::span<const std::uint32_t> dirty) {
-  AXC_EXPECTS(child_dirty_.empty());  // previous child must be released
-  const parameters& p = parent.params();
-  const std::size_t node_gene_count = p.node_count() * 3;
-
-  // Pass 1 — classification (shared with stage_child).
-  bool activation = false;
-  bool deactivation = false;
-  if (!classify(parent, child, dirty, activation, deactivation)) {
-    return delta::identical;
-  }
+  if (!effective) return delta::identical;
 
   // Pass 2 — retarget the table: O(dirty) entry writes (idempotent on
   // duplicate indices), restored from the parent's genes at
@@ -211,162 +197,6 @@ void cone_program::release_child(const genotype& parent) {
   membership_deferred_ = false;
   fns_valid_ = false;
   // indices_stale_ stays as-is: the next apply() repacks lazily if needed.
-}
-
-cone_program::delta cone_program::stage_child(
-    const genotype& parent, const genotype& child,
-    std::span<const std::uint32_t> dirty, staged_child& out) {
-  AXC_EXPECTS(child_dirty_.empty());  // schedule must model the parent
-  const parameters& p = parent.params();
-  const std::size_t node_gene_count = p.node_count() * 3;
-  const std::uint32_t ni = static_cast<std::uint32_t>(p.num_inputs);
-  constexpr auto kW = static_cast<std::uint32_t>(lanes);
-
-  out.fns_valid = false;
-  out.has_flags = false;
-
-  // Classification reuses apply()'s pass 1, but the edge deltas are
-  // reverted before returning: on the batch path the counts (like the
-  // table) permanently describe the parent, so there is nothing to
-  // release.  Between fold and revert the counts are the *child's*, which
-  // is exactly the membership screen the patch emission below needs.
-  bool activation = false;
-  bool deactivation = false;
-  const bool effective =
-      classify(parent, child, dirty, activation, deactivation);
-  const auto unfold = [this] {
-    for (const auto& [t, rd] : ref_journal_) {
-      refcnt_[t] -= static_cast<std::uint32_t>(rd);
-    }
-    ref_journal_.clear();
-  };
-  if (!effective) {
-    unfold();
-    out.kind = delta::identical;
-    return out.kind;
-  }
-
-  // Membership.  Only an activating child carries its own cone flags —
-  // batch_union() must extend the executed list with them.  Everything
-  // else (same cone, or deactivation-only) executes inside the parent's
-  // list: the superset is exact, dropped gates feed no output.
-  if (activation) {
-    child.mark_cone(scratch_flags_);
-    if (scratch_flags_ != active_) {
-      out.flags = scratch_flags_;
-      out.has_flags = true;
-    }
-  }
-  out.kind = out.has_flags || (deactivation && !activation)
-                 ? delta::recompiled
-                 : delta::patched;
-
-  // Patch emission: every dirty node whose child genes differ and that is
-  // in the *child's* cone overrides the parent's table entry.  (classify()
-  // skips inactive dirty nodes, but a sibling gene change may have pulled
-  // them into the child's cone — the flags/refcnt screen here catches
-  // those.)  Nodes outside the child's cone keep the parent's content;
-  // their rows are never read by the child's outputs.
-  out.patch_nodes.clear();
-  out.patch_steps.clear();
-  stage_seen_.clear();
-  for (const std::uint32_t idx : dirty) {
-    if (idx >= node_gene_count) continue;  // outputs handled wholesale
-    const std::uint32_t k = idx / 3;
-    if (contains(stage_seen_, k)) continue;
-    stage_seen_.push_back(k);
-    if (parent.nodes()[k] == child.nodes()[k]) continue;
-    const bool in_cone =
-        out.has_flags ? out.flags[k] != 0 : refcnt_[k] > 0;
-    if (!in_cone) continue;
-    const genotype::node_genes& n = child.nodes()[k];
-    out.patch_nodes.push_back(k);
-    out.patch_steps.push_back(circuit::sim_step{
-        p.function_set[n.fn], n.in0 * kW, n.in1 * kW, (ni + k) * kW});
-  }
-  // Ascending node order (the walk consumes patches in index order); the
-  // dirty list is mutation-ordered, so insertion-sort the handful.
-  for (std::size_t i = 1; i < out.patch_nodes.size(); ++i) {
-    for (std::size_t j = i;
-         j > 0 && out.patch_nodes[j - 1] > out.patch_nodes[j]; --j) {
-      std::swap(out.patch_nodes[j - 1], out.patch_nodes[j]);
-      std::swap(out.patch_steps[j - 1], out.patch_steps[j]);
-    }
-  }
-
-  // Output rows, child genes (copied wholesale — cheaper than tracking
-  // which moved).
-  const std::span<const std::uint32_t> og = child.output_genes();
-  out.out_offsets.resize(og.size());
-  for (std::size_t o = 0; o < og.size(); ++o) {
-    out.out_offsets[o] = og[o] * kW;
-  }
-
-  unfold();
-  return out.kind;
-}
-
-std::span<const std::uint32_t> cone_program::batch_union(
-    std::span<const staged_child* const> staged) {
-  if (indices_stale_) {
-    // A mixed apply()/stage_child() caller may have left a recompiled
-    // sibling's membership in the index list; the batch executes the
-    // parent's own list (plus activations).
-    program_.set_active_from_flags(active_.data(), active_.size());
-    indices_stale_ = false;
-  }
-  bool any_flags = false;
-  for (const staged_child* s : staged) any_flags |= s->has_flags;
-  if (!any_flags) return program_.active_indices();
-
-  union_flags_ = active_;
-  for (const staged_child* s : staged) {
-    if (!s->has_flags) continue;
-    for (std::size_t k = 0; k < union_flags_.size(); ++k) {
-      union_flags_[k] |= s->flags[k];
-    }
-  }
-  union_idx_.clear();
-  for (std::size_t k = 0; k < union_flags_.size(); ++k) {
-    if (union_flags_[k] != 0) {
-      union_idx_.push_back(static_cast<std::uint32_t>(k));
-    }
-  }
-  return union_idx_;
-}
-
-std::span<const circuit::gate_fn> cone_program::stage_fns(
-    const genotype& child, staged_child& s) {
-  if (!s.fns_valid) {
-    const parameters& p = child.params();
-    s.fns.clear();
-    if (s.kind == delta::patched) {
-      // Membership unchanged: the parent's flags with the child's gate
-      // functions — same emission order as step_fns() on an applied child.
-      for (std::size_t k = 0; k < active_.size(); ++k) {
-        if (active_[k]) {
-          s.fns.push_back(p.function_set[child.nodes()[k].fn]);
-        }
-      }
-    } else if (s.has_flags) {
-      for (std::size_t k = 0; k < s.flags.size(); ++k) {
-        if (s.flags[k]) {
-          s.fns.push_back(p.function_set[child.nodes()[k].fn]);
-        }
-      }
-    } else {
-      // Deactivation-only: derive the true membership, exactly like
-      // step_fns() on the superset-execution path.
-      child.mark_cone(scratch_flags_);
-      for (std::size_t k = 0; k < scratch_flags_.size(); ++k) {
-        if (scratch_flags_[k]) {
-          s.fns.push_back(p.function_set[child.nodes()[k].fn]);
-        }
-      }
-    }
-    s.fns_valid = true;
-  }
-  return s.fns;
 }
 
 std::span<const circuit::gate_fn> cone_program::step_fns() {

@@ -51,8 +51,6 @@
 
 namespace axc::cgp {
 
-struct staged_child;
-
 class cone_program {
  public:
   static constexpr std::size_t lanes = 8;
@@ -83,38 +81,6 @@ class cone_program {
   /// (O(dirty)).  The index list is repaired lazily at the next apply().
   void release_child(const genotype& parent);
 
-  /// The lambda-batch alternative to apply(): records how `child` diverges
-  /// from the bound parent — the table entries it overrides (child genes,
-  /// ascending node order), its output row offsets, and (only when it
-  /// activates nodes) its cone flags — and leaves the schedule untouched.
-  /// The program keeps modelling the parent and there is no release step,
-  /// so any number of children can be staged per generation and executed
-  /// in one batch pass (batch_union() + sim_program::run_batch, consumed
-  /// by metrics::basic_wmed_evaluator::evaluate_batch).  Classification is
-  /// identical to apply() — an `identical` result means `out` holds
-  /// nothing and the child scores as the parent — and the cost is
-  /// O(dirty), plus O(cone) only for the rare activating children.
-  delta stage_child(const genotype& parent, const genotype& child,
-                    std::span<const std::uint32_t> dirty, staged_child& out);
-
-  /// The union execution list for a set of staged children: the parent's
-  /// active-index list extended with every staged activation.  Executing
-  /// this superset is exact for each child — a child's outputs read only
-  /// its own cone, and every cone member is in the union with the child's
-  /// own (patched) content.  The returned span aliases internal storage,
-  /// valid until the next batch_union()/bind() call; when no child
-  /// activates (the common case) it is the parent's own list, for free.
-  std::span<const std::uint32_t> batch_union(
-      std::span<const staged_child* const> staged);
-
-  /// Active gate functions of a stage_child() child in emission order —
-  /// the batch-path counterpart of step_fns(), for netlist-free area
-  /// estimation (cached in `s`).  `child` must be the genotype `s` was
-  /// staged from; not meaningful for `identical` stagings (use the
-  /// parent's step_fns()).
-  std::span<const circuit::gate_fn> stage_fns(const genotype& child,
-                                              staged_child& s);
-
   [[nodiscard]] circuit::sim_program<lanes>& program() { return program_; }
   /// Active gate functions in emission (node address) order — the cone
   /// netlist's gate list, for netlist-free area estimation.  Valid for the
@@ -135,14 +101,6 @@ class cone_program {
  private:
   /// Writes node k's table entry from `g`'s genes.
   void write_step(const genotype& g, std::size_t k);
-  /// Shared pass 1 of apply()/stage_child(): classifies the mutation
-  /// against the bound parent, folding dependence-edge deltas into
-  /// refcnt_ (journalled in ref_journal_) and recording the effectively
-  /// changed nodes/outputs in seen_nodes_/seen_outputs_.  Returns whether
-  /// any change is phenotype-visible.
-  bool classify(const genotype& parent, const genotype& child,
-                std::span<const std::uint32_t> dirty, bool& activation,
-                bool& deactivation);
 
   circuit::sim_program<lanes> program_;
   std::vector<circuit::gate_fn> fns_;        ///< step_fns() cache
@@ -169,34 +127,6 @@ class cone_program {
   /// Superset execution: the child's cone shrank but the parent's index
   /// list is still being executed; step_fns() derives the true membership.
   bool membership_deferred_{false};
-  /// stage_child() / batch_union() scratch, reused across generations.
-  std::vector<std::uint32_t> stage_seen_;   ///< dirty-node dedupe
-  std::vector<std::uint8_t> union_flags_;   ///< OR of parent + activations
-  std::vector<std::uint32_t> union_idx_;    ///< packed union list
-};
-
-/// One staged child of a lambda batch, filled by cone_program::
-/// stage_child().  Reuse instances across generations: the contained
-/// buffers stop allocating after the first child of a given size.  Offsets
-/// are premultiplied by cone_program::lanes, matching what
-/// sim_batch_lane / metrics::batch_candidate consume.
-struct staged_child {
-  cone_program::delta kind{cone_program::delta::identical};
-  /// Table entries this child overrides (dirty nodes inside its cone):
-  /// ascending node (table) indices with the child-gene step contents.
-  std::vector<std::uint32_t> patch_nodes;
-  std::vector<circuit::sim_step> patch_steps;
-  /// Premultiplied output row offsets (the child's output genes).
-  std::vector<std::uint32_t> out_offsets;
-  /// Child cone flags — filled only when the child activates nodes, which
-  /// is what batch_union() must extend the parent's list with.  A
-  /// recompiled kind without flags is deactivation-only (superset
-  /// execution, like apply()'s deferred-membership path).
-  std::vector<std::uint8_t> flags;
-  bool has_flags{false};
-  /// stage_fns() cache.
-  std::vector<circuit::gate_fn> fns;
-  bool fns_valid{false};
 };
 
 }  // namespace axc::cgp

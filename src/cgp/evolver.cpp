@@ -19,15 +19,6 @@ bool not_worse(const evaluation& a, const evaluation& b) {
   return !better(b, a);
 }
 
-void incremental_evaluator::evaluate_children(
-    const genotype& parent, const std::vector<genotype>& children,
-    const std::vector<std::vector<std::uint32_t>>& dirty, std::size_t begin,
-    std::size_t end, evaluation* out) {
-  for (std::size_t k = begin; k < end; ++k) {
-    out[k - begin] = evaluate_child(parent, children[k], dirty[k]);
-  }
-}
-
 namespace {
 
 /// Parallel offspring evaluation writes one slot per worker; padding the
@@ -216,15 +207,12 @@ evolver::run_result evolver::run_incremental(const genotype& seed,
 
   const std::size_t lambda = seed.params().lambda;
   const std::size_t workers = std::min(threads, lambda);
-  const bool batch = opts.batch_candidates;
   // Serial: one evaluator serves every slot (one parent compile per
   // acceptance).  Parallel: one evaluator per slot, never shared across
   // workers; each rebinds lazily on its first evaluation after the parent
-  // changed.  Batch: one evaluator per *worker*, each scoring a contiguous
-  // chunk of the generation through evaluate_children().  Evaluations are
-  // pure functions of (parent, child), so every arrangement — and any
-  // worker scheduling — is bit-identical.
-  const std::size_t count = batch ? workers : (workers == 1 ? 1 : lambda);
+  // changed.  Evaluations are pure functions of (parent, child), so both
+  // arrangements — and any worker scheduling — are bit-identical.
+  const std::size_t count = workers == 1 ? 1 : lambda;
   std::vector<std::unique_ptr<incremental_evaluator>> evaluators;
   evaluators.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
@@ -261,13 +249,6 @@ evolver::run_result evolver::run_incremental(const genotype& seed,
     }
   };
 
-  const auto bind_slot = [&](std::size_t slot, const genotype& parent,
-                             const evaluation& parent_eval) {
-    if (bound_version[slot] != parent_version) {
-      evaluators[slot]->rebind(parent, parent_eval);
-      bound_version[slot] = parent_version;
-    }
-  };
   const auto on_accept = [&parent_version, &dirty,
                           &resync](std::size_t best_k) {
     ++parent_version;
@@ -282,55 +263,15 @@ evolver::run_result evolver::run_incremental(const genotype& seed,
     }
   };
 
-  if (batch) {
-    if (workers == 1) {
-      const auto evaluate_offspring = [&](const genotype& parent,
-                                          const evaluation& parent_eval,
-                                          std::vector<genotype>& children,
-                                          std::vector<evaluation>& evals) {
-        bind_slot(0, parent, parent_eval);
-        evaluators[0]->evaluate_children(parent, children, dirty, 0,
-                                         children.size(), evals.data());
-      };
-      return run_core(seed, initial, mutate_children, evaluate_offspring,
-                      on_accept, opts, gen);
-    }
-    // Each worker batches a contiguous chunk into its own staging vector
-    // (separate heap blocks — no false sharing on the result stores).
-    thread_pool pool(workers);
-    const std::size_t chunk = (lambda + workers - 1) / workers;
-    std::vector<std::vector<evaluation>> stage(workers);
-    const auto evaluate_offspring = [&](const genotype& parent,
-                                        const evaluation& parent_eval,
-                                        std::vector<genotype>& children,
-                                        std::vector<evaluation>& evals) {
-      parallel_for(pool, workers, [&](std::size_t wk) {
-        const std::size_t begin = wk * chunk;
-        const std::size_t end = std::min(begin + chunk, children.size());
-        if (begin >= end) return;
-        bind_slot(wk, parent, parent_eval);
-        stage[wk].resize(end - begin);
-        evaluators[wk]->evaluate_children(parent, children, dirty, begin, end,
-                                          stage[wk].data());
-      });
-      for (std::size_t wk = 0; wk < workers; ++wk) {
-        const std::size_t begin = wk * chunk;
-        for (std::size_t i = 0; i < stage[wk].size() && begin + i < lambda;
-             ++i) {
-          evals[begin + i] = stage[wk][i];
-        }
-      }
-    };
-    return run_core(seed, initial, mutate_children, evaluate_offspring,
-                    on_accept, opts, gen);
-  }
-
   const auto eval_one = [&](const genotype& parent,
                             const evaluation& parent_eval,
                             std::vector<genotype>& children, std::size_t k,
                             evaluation& out) {
     const std::size_t slot = count == 1 ? 0 : k;
-    bind_slot(slot, parent, parent_eval);
+    if (bound_version[slot] != parent_version) {
+      evaluators[slot]->rebind(parent, parent_eval);
+      bound_version[slot] = parent_version;
+    }
     out = evaluators[slot]->evaluate_child(parent, children[k], dirty[k]);
   };
 

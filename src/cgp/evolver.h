@@ -14,7 +14,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "cgp/genotype.h"
 #include "circuit/netlist.h"
@@ -62,18 +61,6 @@ class incremental_evaluator {
   virtual evaluation evaluate_child(const genotype& parent,
                                     const genotype& child,
                                     std::span<const std::uint32_t> dirty) = 0;
-
-  /// Evaluates children [begin, end) of one generation, writing
-  /// out[k - begin] for child k.  Contract: every slot must hold exactly
-  /// what evaluate_child() would return for that child — the batch form
-  /// exists so evaluators can amortize shared per-generation work (e.g.
-  /// one multi-candidate sweep over all mutants, see
-  /// core::incremental_wmed).  The default forwards to evaluate_child()
-  /// one by one.
-  virtual void evaluate_children(
-      const genotype& parent, const std::vector<genotype>& children,
-      const std::vector<std::vector<std::uint32_t>>& dirty, std::size_t begin,
-      std::size_t end, evaluation* out);
 };
 
 class evolver {
@@ -101,12 +88,6 @@ class evolver {
     /// instead of a few catastrophic ones, which matters at short search
     /// budgets (see DESIGN.md ablations).
     bool error_tiebreak{false};
-    /// run_incremental(): score each generation's lambda mutants through
-    /// the evaluator's batch hook (evaluate_children) instead of one
-    /// evaluate_child() call per mutant.  Pure execution knob —
-    /// bit-identical results either way — so it is excluded from
-    /// checkpoint fingerprints like the SIMD level.
-    bool batch_candidates{true};
     progress_fn on_improvement{};
     generation_fn on_generation{};
     /// Returning true ends the run before the next generation's mutation

@@ -50,13 +50,6 @@ std::size_t pack_avx512(const std::uint8_t* flags, std::size_t count,
   return n;
 }
 
-void run_steps_batch_avx512(const sim_step* table,
-                            const std::uint32_t* indices, std::size_t count,
-                            const sim_batch_lane* lanes, std::size_t n) {
-  run_steps_batch_w8<simd::vu64x8<simd::level::avx512>>(table, indices, count,
-                                                        lanes, n);
-}
-
 }  // namespace
 
 sim_steps_fn sim_steps_kernel_avx512() { return &run_steps_avx512; }
@@ -64,16 +57,12 @@ sim_steps_indexed_fn sim_steps_indexed_kernel_avx512() {
   return &run_steps_indexed_avx512;
 }
 sim_pack_fn sim_pack_kernel_avx512() { return &pack_avx512; }
-sim_steps_batch_fn sim_steps_batch_kernel_avx512() {
-  return &run_steps_batch_avx512;
-}
 
 #else
 
 sim_steps_fn sim_steps_kernel_avx512() { return nullptr; }
 sim_steps_indexed_fn sim_steps_indexed_kernel_avx512() { return nullptr; }
 sim_pack_fn sim_pack_kernel_avx512() { return nullptr; }
-sim_steps_batch_fn sim_steps_batch_kernel_avx512() { return nullptr; }
 
 #endif
 

@@ -43,20 +43,6 @@ using sim_steps_indexed_fn = void (*)(const sim_step* table,
 /// `out` must have room for `count` entries.
 using sim_pack_fn = std::size_t (*)(const std::uint8_t* flags,
                                     std::size_t count, std::uint32_t* out);
-struct sim_batch_lane;
-
-/// The lambda-batch executor: walks a step table through an index list and
-/// executes every step for `n` candidate lanes before advancing, each lane
-/// substituting its own patched table entries (sim_batch_lane) in place.
-/// Amortizes the per-step front-end cost (fetch, dispatch, loop) that
-/// bounds the solo executors across the whole batch, and keeps the patch
-/// handling inside the single per-pass call — see sim_program::run_batch.
-/// `n` must be <= kMaxBatchLanes (run_batch chunks larger batches).
-using sim_steps_batch_fn = void (*)(const sim_step* table,
-                                    const std::uint32_t* indices,
-                                    std::size_t count,
-                                    const sim_batch_lane* lanes,
-                                    std::size_t n);
 
 /// Whether a step-executor backend is compiled in AND runnable here.
 [[nodiscard]] bool sim_steps_level_available(simd::level l);
@@ -68,7 +54,6 @@ using sim_steps_batch_fn = void (*)(const sim_step* table,
 [[nodiscard]] sim_steps_indexed_fn sim_steps_indexed_kernel(
     simd::level resolved);
 [[nodiscard]] sim_pack_fn sim_pack_kernel(simd::level resolved);
-[[nodiscard]] sim_steps_batch_fn sim_steps_batch_kernel(simd::level resolved);
 
 /// Reusable simulation scratchpad (one word per signal).  Keeping it outside
 /// the call avoids reallocating in the CGP inner loop.
@@ -144,25 +129,6 @@ std::vector<std::uint64_t> simulate_words(
 /// *reads* (per gate_fn operand dependence) is an input slot or the output
 /// slot of an earlier step.  Ignored operands may reference unwritten slots;
 /// run() never reads them.
-///
-/// One candidate of a run_batch() call: the slot arena its pass executes
-/// into (slot_words() words; 64-byte-align it — row loads/stores then never
-/// split cache lines) plus the step-table entries this candidate overrides,
-/// ascending by table index.  Nodes outside the candidate's own cone may
-/// execute with un-overridden (parent) content — their rows are never read
-/// by the candidate's outputs, so the result is unaffected.
-struct sim_batch_lane {
-  std::uint64_t* arena{nullptr};
-  const std::uint32_t* patch_nodes{nullptr};  ///< ascending table indices
-  const sim_step* patch_steps{nullptr};       ///< premultiplied, parallel
-  std::size_t patch_count{0};
-};
-
-/// Per-kernel-call lane cap: the batch executor keeps one patch cursor per
-/// lane on its stack.  run_batch() splits larger batches into chunks, so
-/// callers never see the cap.
-inline constexpr std::size_t kMaxBatchLanes = 64;
-
 template <std::size_t W>
 class sim_program {
  public:
@@ -192,34 +158,6 @@ class sim_program {
   /// each candidate output plane straight from the slot row, so the per-pass
   /// num_outputs()*W-word gather disappears.
   void run_in_place(std::span<const std::uint64_t> inputs);
-
-  /// run_in_place() against an external slot arena of at least slot_words()
-  /// words: inputs are copied to the arena base and the schedule executes
-  /// there, leaving the program's own slot buffer untouched.  Output values
-  /// land at output_slot(o)*W inside the arena.
-  void run_into(std::span<const std::uint64_t> inputs,
-                std::span<std::uint64_t> arena);
-
-  /// One indexed-schedule pass for a whole batch of candidates: inputs are
-  /// broadcast to every lane's arena, then `indices` (ascending table
-  /// indices — a superset of every lane's active cone is exact, see
-  /// sim_batch_lane) executes for all lanes step by step, each lane
-  /// substituting its own patched entries at its patch_nodes.  Executing n
-  /// candidates this way is substantially cheaper than n run_into() calls:
-  /// the solo executors are front-end-bound (per step, the fetch/dispatch
-  /// overhead outweighs the single vector op), and the batch walk pays that
-  /// overhead once per step instead of once per step per candidate.
-  /// Bit-identical to patching + run_into() per candidate.  W == 8 indexed
-  /// schedules only.
-  void run_batch(std::span<const std::uint64_t> inputs,
-                 std::span<const std::uint32_t> indices,
-                 std::span<const sim_batch_lane> batch);
-
-  /// Size of the slot buffer in words (num_slots * W) — the arena size
-  /// run_into() and run_batch() require.
-  [[nodiscard]] std::size_t slot_words() const {
-    return slots_.empty() ? 0 : slots_.size() - kSlotPad;
-  }
 
   /// Fills `rows` (num_outputs() entries) with pointers to each output's
   /// W-word lane row inside the slot buffer.  The pointers are stable across
@@ -329,11 +267,6 @@ class sim_program {
   [[nodiscard]] std::uint32_t active_index(std::size_t i) const {
     return active_idx_[i];
   }
-  /// The whole active-index list (ascending table indices) — the execution
-  /// order run_batch() callers extend into a batch-union list.
-  [[nodiscard]] std::span<const std::uint32_t> active_indices() const {
-    return active_idx_;
-  }
 
   /// Selects the step-executor backend for the wide-lane fast path (W == 8;
   /// other lane counts always run the generic executor).  `automatic` is
@@ -363,10 +296,6 @@ class sim_program {
     return slots_.data() + ((~p + 1) & 63) / 8;
   }
 
-  /// Executes the schedule over `base` (inputs already in place) — the
-  /// shared body of run_in_place() and run_into().
-  void execute(std::uint64_t* base);
-
   std::vector<step> steps_;
   std::vector<std::uint32_t> output_slots_;  ///< premultiplied by W
   std::size_t num_inputs_{0};
@@ -380,7 +309,6 @@ class sim_program {
   sim_steps_fn steps_fn_{nullptr};
   sim_steps_indexed_fn steps_idx_fn_{nullptr};
   sim_pack_fn pack_fn_{nullptr};
-  sim_steps_batch_fn steps_batch_fn_{nullptr};
 };
 
 extern template class sim_program<1>;

@@ -21,7 +21,6 @@ basic_approximation_config<Spec> config_from_options(
   config.error_tiebreak = options.error_tiebreak;
   config.incremental = options.incremental;
   config.simd = options.simd;
-  config.batch_candidates = options.batch_candidates;
   config.rng_seed = options.rng_seed;
   config.library = options.library;
   return config;

@@ -270,9 +270,6 @@ struct component_options {
   bool incremental{true};
   /// Scan kernel backend (bit-identical execution knob, like `threads`).
   simd::level simd{simd::level::automatic};
-  /// Multi-candidate batch evaluation (bit-identical execution knob, like
-  /// `simd`; excluded from checkpoint fingerprints).
-  bool batch_candidates{true};
   std::uint64_t rng_seed{1};
   const tech::cell_library* library{&tech::cell_library::nangate45_like()};
 };

@@ -413,22 +413,25 @@ std::vector<plan_shard> split_plan(const sweep_plan& plan,
   if (plan.targets.empty()) return parts;
   const std::size_t n =
       std::clamp<std::size_t>(shards, 1, plan.targets.size());
-  const std::size_t base = plan.targets.size() / n;
-  const std::size_t surplus = plan.targets.size() % n;
-  std::size_t next_target = 0;
-  std::size_t job_offset = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    plan_shard part;
-    part.job_offset = job_offset;
-    part.plan.runs_per_target = plan.runs_per_target;
-    const std::size_t take = base + (i < surplus ? 1 : 0);
-    part.plan.targets.assign(plan.targets.begin() + next_target,
-                             plan.targets.begin() + next_target + take);
-    next_target += take;
-    job_offset += part.plan.job_count();
-    parts.push_back(std::move(part));
+  const std::size_t runs = plan.runs_per_target;
+  parts.resize(n);
+  for (plan_shard& part : parts) part.plan.runs_per_target = runs;
+  // Target t goes to shard t % n; its runs keep their target-major global
+  // ids, appended in the order the shard's session expands its own plan.
+  for (std::size_t t = 0; t < plan.targets.size(); ++t) {
+    plan_shard& part = parts[t % n];
+    part.plan.targets.push_back(plan.targets[t]);
+    for (std::size_t r = 0; r < runs; ++r) part.job_ids.push_back(t * runs + r);
   }
   return parts;
+}
+
+bool same_plan(const sweep_plan& a, const sweep_plan& b) {
+  return a.runs_per_target == b.runs_per_target &&
+         std::ranges::equal(a.targets, b.targets, [](double x, double y) {
+           return std::bit_cast<std::uint64_t>(x) ==
+                  std::bit_cast<std::uint64_t>(y);
+         });
 }
 
 namespace {
@@ -460,17 +463,29 @@ std::optional<std::string> read_file_text(const std::string& path) {
   return buffer.str();
 }
 
-/// A checkpoint is a valid *win* for a shard only when the v2 salvage path
-/// accepts every section and recovers every job of the shard's plan — the
-/// same gate merge_shards applies, run early so a torn fetch or truncated
-/// file turns into a retry instead of a partial merge.
+/// Salvages a shard checkpoint, rejecting one written for another target
+/// set (a work_dir last run at a different shard count): its local job ids
+/// mean other global jobs, so merging it would misfile its designs.
+std::optional<search_session> resume_shard(const std::string& path,
+                                           const component_handle& component,
+                                           const sweep_plan& plan,
+                                           resume_report* report = nullptr) {
+  auto session = search_session::resume_file(path, component, {}, report);
+  if (session && !same_plan(session->plan(), plan)) return std::nullopt;
+  return session;
+}
+
+/// A checkpoint is a valid *win* for a shard only when it holds the shard's
+/// plan, the v2 salvage path accepts every section and every job of the
+/// plan is recovered — the same gate merge_shards applies, run early so a
+/// torn fetch or truncated file turns into a retry instead of a partial
+/// merge.
 bool checkpoint_complete(const std::string& path,
                          const component_handle& component,
-                         std::size_t expected_jobs) {
+                         const sweep_plan& plan) {
   resume_report report;
-  auto session = search_session::resume_file(path, component, {}, &report);
-  return session && report.jobs_dropped == 0 &&
-         report.jobs_recovered == expected_jobs;
+  return resume_shard(path, component, plan, &report) &&
+         report.jobs_dropped == 0 && report.jobs_recovered == plan.job_count();
 }
 
 std::string reason_exit(int code) { return "exit" + std::to_string(code); }
@@ -576,7 +591,7 @@ bool retrieve_valid_checkpoint(const shard_runner_config& config,
                                shard_launch& l,
                                const component_handle& component,
                                coord_journal& journal) {
-  const std::size_t expected = s.part.plan.job_count();
+  const sweep_plan& expected = s.part.plan;
   const std::string shard_str = std::to_string(s.outcome.shard);
   if (node.shares_filesystem()) {
     if (checkpoint_complete(l.checkpoint_path, component, expected)) {
@@ -648,14 +663,14 @@ sweep_result merge_shards(const sweep_spec& spec,
     if (fault::fire(kFaultCrashMidMerge)) std::_Exit(kCoordCrashExit);
     s.outcome.jobs_total = s.part.plan.job_count();
     resume_report report;
-    auto session = search_session::resume_file(s.checkpoint_path, component,
-                                               {}, &report);
+    auto session =
+        resume_shard(s.checkpoint_path, component, s.part.plan, &report);
     if (session) {
       s.outcome.jobs_recovered = report.jobs_recovered;
       s.outcome.jobs_dropped = report.jobs_dropped;
       for (std::size_t local = 0; local < session->total_jobs(); ++local) {
         if (auto design = session->design(local)) {
-          const std::size_t global = s.part.job_offset + local;
+          const std::size_t global = s.part.job_ids[local];
           archive.insert(pareto_point{design->wmed, design->area_um2, global});
           result.by_job[global] = *std::move(design);
         }
@@ -708,6 +723,7 @@ sweep_result run_sweep(const sweep_spec& spec,
     }
   }
 
+  const component_handle component = spec.make_component();
   for (std::size_t i = 0; i < parts.size(); ++i) {
     shard_state s;
     s.part = parts[i];
@@ -734,6 +750,16 @@ sweep_result run_sweep(const sweep_spec& spec,
     // pre-increments, so first-attempt-only shard_env never re-applies).
     s.attempt = replay.attempts[i];
     s.outcome.attempts = s.attempt;
+    // A checkpoint left by a run of this work_dir at another shard count
+    // holds another target set: remove it, so the shard is respawned and
+    // its worker starts fresh instead of resuming the wrong jobs.
+    if (std::filesystem::exists(s.checkpoint_path, ec)) {
+      const auto old =
+          search_session::resume_file(s.checkpoint_path, component, {});
+      if (old && !same_plan(old->plan(), s.part.plan)) {
+        std::filesystem::remove(s.checkpoint_path, ec);
+      }
+    }
     if (replay.completed[i] &&
         std::filesystem::exists(s.checkpoint_path, ec)) {
       s.done = true;
@@ -761,7 +787,6 @@ sweep_result run_sweep(const sweep_spec& spec,
     fleet.push_back(std::move(local));
   }
   node_pool pool(fleet, cfg.nodes_policy);
-  const component_handle component = spec.make_component();
 
   const auto backoff_delay = [&cfg](std::size_t attempt) {
     double scale = 1.0;

@@ -9,9 +9,13 @@
 //     sweep (component name + options + plan + seed netlist) — everything
 //     a fresh process needs to rebuild the identical search ("axc-sweep-
 //     spec v1" text format);
-//   * split_plan() cuts the plan into contiguous target sub-plans; global
-//     job ids are shard job_offset + local id, so shard results map back
-//     into the full plan unambiguously;
+//   * split_plan() deals the targets out round-robin — shard i of n takes
+//     targets i, i+n, i+2n, ... — and records the global job id of every
+//     local job, so shard results map back into the full plan
+//     unambiguously.  Interleaving, not contiguous slices, because a job's
+//     cost depends strongly on its target (about 6x between the cheapest
+//     and the most expensive of the 14 default targets, which sit next to
+//     each other), and the sweep waits for its slowest shard;
 //   * run_sweep() writes one spec + checkpoint path per shard, launches
 //     one worker process (tools/axc_worker) per shard, and supervises
 //     them: heartbeats from checkpoint growth, per-attempt deadlines
@@ -126,18 +130,25 @@ struct sweep_spec {
   [[nodiscard]] std::uint64_t store_key() const;
 };
 
-/// One shard of a plan: a contiguous target-major slice, plus the global
-/// job id of its first job.
+/// One shard of a plan: a target subset, plus the global job id of each of
+/// its jobs (job_ids[local id], local ids in the sub-plan's own
+/// target-major order).
 struct plan_shard {
   sweep_plan plan{};
-  std::size_t job_offset{0};
+  std::vector<std::size_t> job_ids{};
 };
 
-/// Cuts `plan` into at most `shards` contiguous target subsets (never
-/// splitting one target's repetitions across shards); at least one target
-/// per shard, surplus targets distributed to the leading shards.
+/// Deals `plan`'s targets round-robin over at most `shards` shards: shard
+/// i of n takes targets i, i+n, i+2n, ... (never splitting one target's
+/// repetitions across shards), so shard sizes differ by at most one target
+/// and every shard mixes cheap and expensive targets.
 [[nodiscard]] std::vector<plan_shard> split_plan(const sweep_plan& plan,
                                                  std::size_t shards);
+
+/// Bit-exact plan identity: equal runs_per_target and the same target bits
+/// in the same order.  How a worker and the coordinator tell a shard's own
+/// checkpoint from one written for another split of the sweep.
+[[nodiscard]] bool same_plan(const sweep_plan& a, const sweep_plan& b);
 
 enum class shard_event_kind : std::uint8_t {
   spawned,     ///< worker process launched (attempt counts from 1)

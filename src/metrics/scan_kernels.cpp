@@ -17,20 +17,9 @@ void scan_batch_scalar(const std::uint64_t* exact_planes,
       exact_planes, out_rows, planes, result_bits, result_signed, totals);
 }
 
-void scan_multi_scalar(const std::uint64_t* exact_planes,
-                       const std::uint64_t* const* out_rows, unsigned planes,
-                       unsigned result_bits, bool result_signed,
-                       const std::uint32_t* live, std::size_t live_count,
-                       std::int64_t* totals) {
-  scan_block_multi<simd::vu64x8<simd::level::scalar>>(
-      exact_planes, out_rows, planes, result_bits, result_signed, live,
-      live_count, totals);
-}
-
 }  // namespace
 
 scan_batch_fn scan_kernel_scalar() { return &scan_batch_scalar; }
-scan_multi_fn scan_multi_kernel_scalar() { return &scan_multi_scalar; }
 
 }  // namespace detail
 
@@ -73,21 +62,6 @@ scan_batch_fn scan_kernel(simd::level resolved) {
       break;
   }
   return kernel != nullptr ? kernel : detail::scan_kernel_scalar();
-}
-
-scan_multi_fn scan_multi_kernel(simd::level resolved) {
-  scan_multi_fn kernel = nullptr;
-  switch (resolved) {
-    case simd::level::avx512:
-      kernel = detail::scan_multi_kernel_avx512();
-      break;
-    case simd::level::avx2:
-      kernel = detail::scan_multi_kernel_avx2();
-      break;
-    default:
-      break;
-  }
-  return kernel != nullptr ? kernel : detail::scan_multi_kernel_scalar();
 }
 
 }  // namespace axc::metrics

@@ -19,7 +19,6 @@
 // executable here, never up.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "support/simd.h"
@@ -39,21 +38,6 @@ using scan_batch_fn = void (*)(const std::uint64_t* exact_planes,
                                unsigned planes, unsigned result_bits,
                                bool result_signed, std::int64_t* totals);
 
-/// Multi-candidate pass: one kernel call scores the same pass for several
-/// candidates against the SAME exact planes — the shared planes are read
-/// while L1-hot instead of being re-streamed once per candidate, which is
-/// the bandwidth win of lambda-batch evaluation.  `out_rows` is
-/// candidate-major: out_rows[c * result_bits + o] is candidate c's output
-/// plane o row.  `live[0..live_count)` lists the candidate indices still
-/// sweeping (candidates abort independently); totals[i * 8 + 0..7] receive
-/// the per-block totals of candidate live[i].  Each candidate's totals are
-/// bit-identical to a scan_batch_fn call on its rows alone.
-using scan_multi_fn = void (*)(const std::uint64_t* exact_planes,
-                               const std::uint64_t* const* out_rows,
-                               unsigned planes, unsigned result_bits,
-                               bool result_signed, const std::uint32_t* live,
-                               std::size_t live_count, std::int64_t* totals);
-
 /// Whether a kernel for `l` is compiled into this binary AND the running
 /// CPU can execute it.  scalar is always available.
 [[nodiscard]] bool scan_level_available(simd::level l);
@@ -69,8 +53,6 @@ using scan_multi_fn = void (*)(const std::uint64_t* exact_planes,
 /// The kernel for a *resolved* level (falls back to scalar if handed an
 /// unavailable one, so callers can never dispatch into an illegal ISA).
 [[nodiscard]] scan_batch_fn scan_kernel(simd::level resolved);
-/// The multi-candidate kernel for a resolved level (same fallback rules).
-[[nodiscard]] scan_multi_fn scan_multi_kernel(simd::level resolved);
 
 namespace detail {
 
@@ -79,9 +61,6 @@ namespace detail {
 [[nodiscard]] scan_batch_fn scan_kernel_scalar();
 [[nodiscard]] scan_batch_fn scan_kernel_avx2();
 [[nodiscard]] scan_batch_fn scan_kernel_avx512();
-[[nodiscard]] scan_multi_fn scan_multi_kernel_scalar();
-[[nodiscard]] scan_multi_fn scan_multi_kernel_avx2();
-[[nodiscard]] scan_multi_fn scan_multi_kernel_avx512();
 
 /// The generic kernel body, instantiated by each backend TU.  V is a
 /// simd::vu64x8 specialization.
@@ -120,24 +99,6 @@ void scan_block_batch(const std::uint64_t* exact_planes,
     acc = acc + ap.popcount().shl(p);
   }
   acc.store(reinterpret_cast<std::uint64_t*>(totals));
-}
-
-/// The multi-candidate body: the scan_block_batch arithmetic per live
-/// candidate with the candidate loop innermost-but-one, so the shared exact
-/// planes (loaded per candidate) are still resident in L1 on every
-/// iteration after the first.  Per-candidate results are bit-identical to a
-/// standalone scan_block_batch call by construction (same instruction
-/// sequence per candidate, no cross-candidate arithmetic).
-template <typename V>
-void scan_block_multi(const std::uint64_t* exact_planes,
-                      const std::uint64_t* const* out_rows, unsigned planes,
-                      unsigned result_bits, bool result_signed,
-                      const std::uint32_t* live, std::size_t live_count,
-                      std::int64_t* totals) {
-  for (std::size_t i = 0; i < live_count; ++i) {
-    scan_block_batch<V>(exact_planes, out_rows + live[i] * result_bits,
-                        planes, result_bits, result_signed, totals + i * 8);
-  }
 }
 
 }  // namespace detail

@@ -18,25 +18,13 @@ void scan_batch_avx512(const std::uint64_t* exact_planes,
       exact_planes, out_rows, planes, result_bits, result_signed, totals);
 }
 
-void scan_multi_avx512(const std::uint64_t* exact_planes,
-                       const std::uint64_t* const* out_rows, unsigned planes,
-                       unsigned result_bits, bool result_signed,
-                       const std::uint32_t* live, std::size_t live_count,
-                       std::int64_t* totals) {
-  scan_block_multi<simd::vu64x8<simd::level::avx512>>(
-      exact_planes, out_rows, planes, result_bits, result_signed, live,
-      live_count, totals);
-}
-
 }  // namespace
 
 scan_batch_fn scan_kernel_avx512() { return &scan_batch_avx512; }
-scan_multi_fn scan_multi_kernel_avx512() { return &scan_multi_avx512; }
 
 #else
 
 scan_batch_fn scan_kernel_avx512() { return nullptr; }
-scan_multi_fn scan_multi_kernel_avx512() { return nullptr; }
 
 #endif
 

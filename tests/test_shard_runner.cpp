@@ -9,20 +9,24 @@
 // the variable is unset (e.g. running the test binary by hand).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <random>
 #include <sstream>
 #include <string>
 #include <unistd.h>
 #include <vector>
 
+#include "core/result_store.h"
 #include "core/shard_runner.h"
 #include "dist/pmf.h"
 #include "mult/adders.h"
 #include "mult/multipliers.h"
+#include "support/subprocess.h"
 
 namespace axc::core {
 namespace {
@@ -88,17 +92,19 @@ void expect_same_result(const sweep_result& a, const sweep_result& b) {
   }
 }
 
-TEST(split_plan, contiguous_target_major_with_exact_offsets) {
+TEST(split_plan, interleaves_targets_with_exact_job_ids) {
   sweep_plan plan;
   plan.targets = {0.1, 0.2, 0.3, 0.4, 0.5};
   plan.runs_per_target = 3;
   const auto parts = split_plan(plan, 2);
   ASSERT_EQ(parts.size(), 2u);
-  EXPECT_EQ(parts[0].plan.targets, (std::vector<double>{0.1, 0.2, 0.3}));
-  EXPECT_EQ(parts[0].job_offset, 0u);
-  EXPECT_EQ(parts[1].plan.targets, (std::vector<double>{0.4, 0.5}));
-  EXPECT_EQ(parts[1].job_offset, 9u);
+  EXPECT_EQ(parts[0].plan.targets, (std::vector<double>{0.1, 0.3, 0.5}));
+  EXPECT_EQ(parts[0].job_ids,
+            (std::vector<std::size_t>{0, 1, 2, 6, 7, 8, 12, 13, 14}));
+  EXPECT_EQ(parts[1].plan.targets, (std::vector<double>{0.2, 0.4}));
+  EXPECT_EQ(parts[1].job_ids, (std::vector<std::size_t>{3, 4, 5, 9, 10, 11}));
   EXPECT_EQ(parts[0].plan.runs_per_target, 3u);
+  EXPECT_EQ(parts[1].plan.runs_per_target, 3u);
 }
 
 TEST(split_plan, clamps_shards_to_target_count) {
@@ -122,7 +128,7 @@ TEST(split_plan, more_shards_than_jobs_gives_one_target_each) {
     EXPECT_EQ(parts[i].plan.targets,
               (std::vector<double>{plan.targets[i]}));
     EXPECT_EQ(parts[i].plan.job_count(), 1u);
-    EXPECT_EQ(parts[i].job_offset, i);
+    EXPECT_EQ(parts[i].job_ids, (std::vector<std::size_t>{i}));
   }
 }
 
@@ -137,7 +143,8 @@ TEST(split_plan, empty_plan_yields_no_shards) {
   const auto parts = split_plan(zero_runs, 2);
   ASSERT_EQ(parts.size(), 2u);
   EXPECT_EQ(parts[0].plan.job_count(), 0u);
-  EXPECT_EQ(parts[1].job_offset, 0u);
+  EXPECT_TRUE(parts[0].job_ids.empty());
+  EXPECT_TRUE(parts[1].job_ids.empty());
 }
 
 TEST(split_plan, single_job_plan_is_one_full_shard) {
@@ -149,24 +156,79 @@ TEST(split_plan, single_job_plan_is_one_full_shard) {
     ASSERT_EQ(parts.size(), 1u) << shards;
     EXPECT_EQ(parts[0].plan.targets, plan.targets);
     EXPECT_EQ(parts[0].plan.job_count(), 1u);
-    EXPECT_EQ(parts[0].job_offset, 0u);
+    EXPECT_EQ(parts[0].job_ids, (std::vector<std::size_t>{0}));
   }
 }
 
-TEST(split_plan, offsets_partition_the_full_plan) {
-  sweep_plan plan;
-  plan.targets = {1, 2, 3, 4, 5, 6, 7};
-  plan.runs_per_target = 2;
-  const auto parts = split_plan(plan, 3);
-  std::size_t next = 0;
-  std::size_t targets = 0;
-  for (const auto& part : parts) {
-    EXPECT_EQ(part.job_offset, next);
-    next += part.plan.job_count();
-    targets += part.plan.targets.size();
+TEST(split_plan, interleaved_split_properties_hold_for_every_shape) {
+  // Seeded property test over 0-20 targets, 0-3 runs and 0-8 shards:
+  // job_ids partition [0, job_count), shard i of n holds targets[i],
+  // targets[i+n], ... bit for bit, shard sizes differ by at most one
+  // target, and every local job names the global job with its own target
+  // and run index.
+  std::mt19937_64 gen(20240611);
+  std::uniform_real_distribution<double> target_dist(1e-6, 0.1);
+  for (std::size_t count = 0; count <= 20; ++count) {
+    sweep_plan plan;
+    for (std::size_t t = 0; t < count; ++t) {
+      plan.targets.push_back(target_dist(gen));
+    }
+    for (std::size_t runs = 0; runs <= 3; ++runs) {
+      plan.runs_per_target = runs;
+      const std::vector<sweep_job> global_jobs = plan.jobs();
+      for (std::size_t shards = 0; shards <= 8; ++shards) {
+        SCOPED_TRACE("targets " + std::to_string(count) + " runs " +
+                     std::to_string(runs) + " shards " +
+                     std::to_string(shards));
+        const auto parts = split_plan(plan, shards);
+        if (count == 0) {
+          EXPECT_TRUE(parts.empty());
+          continue;
+        }
+        const std::size_t n = std::clamp<std::size_t>(shards, 1, count);
+        ASSERT_EQ(parts.size(), n);
+
+        std::vector<int> seen(plan.job_count(), 0);
+        std::size_t smallest = count;
+        std::size_t largest = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const plan_shard& part = parts[i];
+          EXPECT_EQ(part.plan.runs_per_target, runs);
+          std::vector<double> expected;
+          for (std::size_t t = i; t < count; t += n) {
+            expected.push_back(plan.targets[t]);
+          }
+          EXPECT_TRUE(same_plan(part.plan, sweep_plan{expected, runs}));
+          smallest = std::min(smallest, part.plan.targets.size());
+          largest = std::max(largest, part.plan.targets.size());
+
+          const std::vector<sweep_job> local_jobs = part.plan.jobs();
+          ASSERT_EQ(part.job_ids.size(), local_jobs.size());
+          for (std::size_t local = 0; local < local_jobs.size(); ++local) {
+            const std::size_t id = part.job_ids[local];
+            ASSERT_LT(id, seen.size());
+            ++seen[id];
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(global_jobs[id].target),
+                      std::bit_cast<std::uint64_t>(local_jobs[local].target));
+            EXPECT_EQ(global_jobs[id].run_index, local_jobs[local].run_index);
+          }
+        }
+        EXPECT_LE(largest - smallest, 1u);
+        for (std::size_t id = 0; id < seen.size(); ++id) {
+          EXPECT_EQ(seen[id], 1) << "job " << id;
+        }
+      }
+    }
   }
-  EXPECT_EQ(next, plan.job_count());
-  EXPECT_EQ(targets, plan.targets.size());
+}
+
+TEST(split_plan, same_plan_compares_target_bits_and_runs) {
+  const sweep_plan base{{0.1, 0.2}, 2};
+  EXPECT_TRUE(same_plan(base, sweep_plan{{0.1, 0.2}, 2}));
+  EXPECT_FALSE(same_plan(base, sweep_plan{{0.1, 0.2}, 1}));
+  EXPECT_FALSE(same_plan(base, sweep_plan{{0.2, 0.1}, 2}));
+  EXPECT_FALSE(same_plan(base, sweep_plan{{0.1}, 2}));
+  EXPECT_FALSE(same_plan(sweep_plan{{0.0}, 1}, sweep_plan{{-0.0}, 1}));
 }
 
 TEST(sweep_spec, round_trips_bit_exactly) {
@@ -410,6 +472,105 @@ TEST(shard_runner, exhausted_attempts_yield_partial_merge) {
 
   std::error_code ec;
   std::filesystem::remove_all(config.work_dir, ec);
+}
+
+/// Byte equality of a sharded merge with its in-process reference: every
+/// job's design by global id, and the serialized front.
+void expect_same_bytes(const sweep_result& a, const sweep_result& b) {
+  ASSERT_EQ(a.by_job.size(), b.by_job.size());
+  for (std::size_t id = 0; id < a.by_job.size(); ++id) {
+    ASSERT_TRUE(a.by_job[id].has_value()) << "job " << id;
+    ASSERT_TRUE(b.by_job[id].has_value()) << "job " << id;
+    EXPECT_EQ(a.by_job[id]->netlist, b.by_job[id]->netlist) << "job " << id;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.by_job[id]->wmed),
+              std::bit_cast<std::uint64_t>(b.by_job[id]->wmed))
+        << "job " << id;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.by_job[id]->target),
+              std::bit_cast<std::uint64_t>(b.by_job[id]->target))
+        << "job " << id;
+    EXPECT_EQ(a.by_job[id]->run_index, b.by_job[id]->run_index)
+        << "job " << id;
+  }
+  EXPECT_EQ(serialize_front(a.front), serialize_front(b.front));
+}
+
+TEST(shard_runner, rerun_at_another_shard_count_respawns_stale_shards) {
+  const char* worker = worker_binary();
+  if (!worker) GTEST_SKIP() << "AXC_WORKER_BIN not set";
+
+  sweep_spec spec = mult_spec_small();
+  spec.plan.targets = {0.002, 0.005, 0.01, 0.02, 0.05};
+  spec.plan.runs_per_target = 1;
+  spec.options.runs_per_target = 1;
+  const sweep_result reference = run_sweep_inprocess(spec);
+  ASSERT_TRUE(reference.complete);
+
+  shard_runner_config config;
+  config.shards = 4;
+  config.work_dir = fresh_work_dir("reshard");
+  config.worker_binary = worker;
+  const sweep_result four = run_sweep(spec, config);
+  ASSERT_TRUE(four.complete);
+  expect_same_bytes(four, reference);
+
+  // The journal says every shard completed, but at 3 shards shards 0 and 1
+  // hold other targets ({0.002, 0.02} and {0.005, 0.05} instead of
+  // {0.002, 0.05} and {0.005}); only shard 2 ({0.01}) keeps its plan.  The
+  // stale ones must be respawned, not merged under the new job ids.
+  config.shards = 3;
+  const sweep_result three = run_sweep(spec, config);
+  ASSERT_EQ(three.shards.size(), 3u);
+  ASSERT_TRUE(three.complete);
+  expect_same_bytes(three, reference);
+  EXPECT_EQ(three.shards[0].attempts, 2u);
+  EXPECT_EQ(three.shards[1].attempts, 2u);
+  EXPECT_EQ(three.shards[2].attempts, 1u) << "an unchanged shard respawned";
+
+  std::error_code ec;
+  std::filesystem::remove_all(config.work_dir, ec);
+}
+
+TEST(shard_runner, worker_starts_fresh_on_a_checkpoint_of_another_plan) {
+  const char* worker = worker_binary();
+  if (!worker) GTEST_SKIP() << "AXC_WORKER_BIN not set";
+
+  const std::string dir = fresh_work_dir("worker-plan");
+  std::filesystem::create_directories(dir);
+  const std::string checkpoint = dir + "/shard.axc";
+  const auto run_worker = [&](const sweep_spec& spec) {
+    const std::string spec_path = dir + "/shard.spec";
+    EXPECT_TRUE(spec.write_file(spec_path));
+    auto proc = support::subprocess::spawn(
+        {worker, "--spec", spec_path, "--checkpoint", checkpoint}, {});
+    ASSERT_TRUE(proc.has_value());
+    const auto status = proc->wait();
+    ASSERT_TRUE(status.has_value());
+    EXPECT_TRUE(status->success());
+  };
+
+  sweep_spec first = mult_spec_small();
+  first.plan.targets = {0.02};
+  first.options.runs_per_target = first.plan.runs_per_target;
+  run_worker(first);
+  sweep_spec second = first;
+  second.plan.targets = {0.002};
+  run_worker(second);
+
+  resume_report report;
+  const auto session = search_session::resume_file(
+      checkpoint, second.make_component(), {}, &report);
+  ASSERT_TRUE(session.has_value());
+  EXPECT_TRUE(same_plan(session->plan(), second.plan));
+  EXPECT_EQ(report.jobs_recovered, second.plan.job_count());
+  const sweep_result reference = run_sweep_inprocess(second);
+  for (std::size_t id = 0; id < second.plan.job_count(); ++id) {
+    const auto design = session->design(id);
+    ASSERT_TRUE(design.has_value()) << "job " << id;
+    EXPECT_EQ(design->netlist, reference.by_job[id]->netlist) << "job " << id;
+  }
+
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 //
 //   axc_worker --spec <file> --checkpoint <file> [--autosave-generations N]
 //
-// The whole lifecycle is resume-or-create: if the checkpoint exists and is
-// (even partially) readable, the session restores every salvaged job and
-// run() executes only the remainder; otherwise the sweep starts fresh.
+// The whole lifecycle is resume-or-create: if the checkpoint exists, holds
+// this spec's plan and is (even partially) readable, the session restores
+// every salvaged job and run() executes only the remainder; otherwise the
+// sweep starts fresh.
 // Progress is persisted through the session's own autosave (atomic
 // save_file after every completed job, plus every N generation ticks), so
 // the coordinator can SIGKILL this process at any instant and relaunch it
@@ -104,7 +105,18 @@ int main(int argc, char** argv) {
     axc::core::resume_report report;
     session = axc::core::search_session::resume_file(
         checkpoint_path, component, options, &report);
-    if (session) {
+    if (session && !axc::core::same_plan(session->plan(), spec->plan)) {
+      // Written for another split of the sweep (the work_dir ran at a
+      // different shard count): its jobs are not this shard's.  Remove it
+      // so heartbeats never count its records as this shard's progress.
+      std::fprintf(stderr,
+                   "axc_worker: checkpoint %s holds another plan; starting "
+                   "fresh\n",
+                   checkpoint_path.c_str());
+      session.reset();
+      std::error_code ec;
+      std::filesystem::remove(checkpoint_path, ec);
+    } else if (session) {
       std::fprintf(stderr,
                    "axc_worker: resumed %zu job%s from %s (v%u%s)\n",
                    report.jobs_recovered,
