@@ -141,6 +141,19 @@ void bm_wmed_evaluate_scalar(benchmark::State& state) {
 }
 BENCHMARK(bm_wmed_evaluate_scalar);
 
+void bm_wmed_shared_state(benchmark::State& state) {
+  // The cold evaluator-cache build every fresh or retried worker pays
+  // before its first evaluation: exact table, weights, sweep order and the
+  // precompiled exact/input planes.
+  const metrics::mult_spec spec{8, false};
+  const dist::pmf d = dist::pmf::half_normal(256, 64.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        metrics::wmed_evaluator::make_shared_state(spec, d));
+  }
+}
+BENCHMARK(bm_wmed_shared_state);
+
 void bm_wmed_evaluate_reference(benchmark::State& state) {
   // The pre-refactor sweep (simulate_block + per-assignment gather) on the
   // same candidate — the baseline bm_wmed_evaluate is measured against.

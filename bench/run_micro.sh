@@ -152,6 +152,7 @@ trajectory_path, run_path, against = sys.argv[1:4]
 # recorded before a bench switched to UseManualTime stay comparable.
 WATCHED = (
     "bm_wmed_evaluate",
+    "bm_wmed_shared_state",
     "bm_evolver_generation",
     "bm_evolver_generation_adder",
     "bm_evolver_generation_mt/2",

@@ -207,17 +207,4 @@ std::vector<node_status> node_pool::report() const {
   return out;
 }
 
-std::optional<node_pool::clock::time_point> node_pool::next_eligible(
-    clock::time_point now) const {
-  std::optional<clock::time_point> earliest;
-  for (const state& s : states_) {
-    if (eligible(s, now)) return std::nullopt;  // someone is ready now
-    if (s.active >= s.config.slots) continue;   // waiting on a release
-    if (s.probation && s.active > 0) continue;
-    if (s.health == node_health::healthy) continue;
-    if (!earliest || s.available_at < *earliest) earliest = s.available_at;
-  }
-  return earliest;
-}
-
 }  // namespace axc::core

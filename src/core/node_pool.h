@@ -10,6 +10,11 @@
 // node declared dead (node-dead-midrun, a failed liveness probe) goes
 // straight to quarantine.
 //
+// Health judgments serve explicit fleets only: a sweep without a nodes file
+// leases from one implicit local node and releases its failed leases
+// without judging it (core/shard_runner.cpp), since quarantining the only
+// node would idle every shard with nowhere else to send the work.
+//
 // The pool is deliberately clock-free: every mutating call takes `now`, so
 // unit tests drive quarantine and re-probation with synthetic time points
 // and the coordinator passes its own steady_clock reading.  Nothing here
@@ -140,14 +145,6 @@ class node_pool {
   }
   [[nodiscard]] node_status status(std::size_t node) const;
   [[nodiscard]] std::vector<node_status> report() const;
-  /// True when some node could eventually accept a lease again (i.e. the
-  /// pool is not permanently exhausted — quarantined nodes re-probate, so
-  /// only an empty pool is dead forever).
-  [[nodiscard]] bool any_possible() const { return !states_.empty(); }
-  /// Earliest instant any currently-blocked node becomes eligible again;
-  /// nullopt when a node is eligible right now (or the pool is empty).
-  [[nodiscard]] std::optional<clock::time_point> next_eligible(
-      clock::time_point now) const;
 
  private:
   struct state {

@@ -776,8 +776,11 @@ sweep_result run_sweep(const sweep_spec& spec,
   cfg.max_attempts = max_attempts;
 
   // The node fleet.  No nodes configured = one implicit local node with a
-  // slot per shard (plus one for a speculative duplicate) — the single-box
-  // behavior of the pre-multi-node runtime, launch for launch.
+  // slot per shard (plus one for a speculative duplicate).  Node health is
+  // judged on explicit fleets only: with one implicit node there is nowhere
+  // else to steer work, so a quarantine would only idle every shard — there
+  // a failed lease just frees its slot and the per-shard backoff alone
+  // paces the retry.
   const bool implicit_local = cfg.nodes.empty();
   std::vector<node_config> fleet = cfg.nodes;
   if (implicit_local) {
@@ -787,6 +790,14 @@ sweep_result run_sweep(const sweep_spec& spec,
     fleet.push_back(std::move(local));
   }
   node_pool pool(fleet, cfg.nodes_policy);
+  const auto release_failed = [&pool, implicit_local](
+                                  std::size_t node, clock::time_point now) {
+    if (implicit_local) {
+      pool.release(node);
+    } else {
+      pool.release_failure(node, now);
+    }
+  };
 
   const auto backoff_delay = [&cfg](std::size_t attempt) {
     double scale = 1.0;
@@ -949,12 +960,13 @@ sweep_result run_sweep(const sweep_spec& spec,
           continue;
         }
 
-        // Failed lease: judge the node, salvage partial progress, and let
-        // the reconcile step below decide retry vs. exhaustion.
+        // Failed lease: judge the node (explicit fleets), salvage partial
+        // progress, and let the reconcile step below decide retry vs.
+        // exhaustion.
         if (l.node_died) {
           pool.release(l.node);  // already judged by mark_dead
         } else {
-          pool.release_failure(l.node, now);
+          release_failed(l.node, now);
         }
         s.outcome.last_exit_code = status->code;
         const std::string reason = l.node_died ? std::string("dead")
@@ -1000,7 +1012,7 @@ sweep_result run_sweep(const sweep_spec& spec,
         if (const auto n = pool.acquire(now, avoid)) {
           s.speculated = true;
           if (!start_launch(cfg, pool, s, *n, true, journal)) {
-            pool.release_failure(*n, now);
+            release_failed(*n, now);
           }
         }
       }
@@ -1034,7 +1046,7 @@ sweep_result run_sweep(const sweep_spec& spec,
                 std::_Exit(kCoordCrashExit);
               }
             } else {
-              pool.release_failure(*n, now);
+              release_failed(*n, now);
               s.avoid_nodes.assign(1, *n);
               if (s.attempt >= cfg.max_attempts) {
                 s.failed = true;

@@ -61,11 +61,11 @@
 // support::worker_launcher command templates (core/node_pool.h: an empty
 // `run` template is today's local fork/exec; `ssh {host} ...` or the CI
 // fake-ssh script reach other machines), shards are *leased* to nodes from
-// a core::node_pool (consecutive-failure quarantine with timed
-// re-probation, per-node backoff), and a dead node's shards are reassigned
-// to healthy nodes riding the same spec + checkpoint + journal + merge
-// contract — a relaunch on node B resumes the checkpoint fetched from node
-// A.  Remote checkpoints are pulled with the node's `fetch` template and
+// a core::node_pool (on explicit fleets: consecutive-failure quarantine
+// with timed re-probation, per-node backoff), and a dead node's shards are
+// reassigned to healthy nodes riding the same spec + checkpoint + journal +
+// merge contract — a relaunch on node B resumes the checkpoint fetched from
+// node A.  Remote checkpoints are pulled with the node's `fetch` template and
 // CRC-verified through the axc-session-v2 salvage path before adoption, so
 // a torn transfer is a detected, retried event (`node-fetch-torn`), never
 // silent corruption.  Straggler shards can be speculatively duplicated
@@ -215,9 +215,12 @@ struct shard_runner_config {
   /// crashed-and-re-run coordinator converges on the same store contents.
   std::string store_dir{};
   /// Nodes to lease shard launches to (core/node_pool.h).  Empty = one
-  /// implicit local node with a slot per shard — exactly the single-box
-  /// behavior this config had before multi-node dispatch existed.
+  /// implicit local node with a slot per shard, whose health is never
+  /// judged: a failed attempt frees its slot and only the per-shard
+  /// backoff / max_attempts above pace the retry.
   std::vector<node_config> nodes{};
+  /// Node health policy (backoff, quarantine, re-probation); applies to
+  /// explicit `nodes` fleets only.
   node_policy nodes_policy{};
   /// Straggler speculation: a shard whose only launch has run this long
   /// without completing gets ONE duplicate launch on another node (its own

@@ -8,6 +8,24 @@
 #include "support/assert.h"
 
 namespace axc::metrics {
+namespace {
+
+/// In-place transpose of a 64x64 bit matrix (row r = m[r], column c = bit c
+/// of a row): afterwards bit c of m[r] is the former bit r of m[c].  Six
+/// rounds of block swaps, halving the block edge each round (Hacker's
+/// Delight, section 7-3, with least-significant-bit column numbering).
+void transpose64(std::uint64_t (&m)[64]) {
+  std::uint64_t mask = 0x00000000FFFFFFFFull;
+  for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((m[k] >> j) ^ m[k | j]) & mask;
+      m[k | j] ^= t;
+      m[k] ^= t << j;
+    }
+  }
+}
+
+}  // namespace
 
 template <component_spec Spec>
 std::shared_ptr<const typename basic_wmed_evaluator<Spec>::shared_state>
@@ -26,7 +44,7 @@ basic_wmed_evaluator<Spec>::make_shared_state(const Spec& spec,
 
   if (spec.width < 6) return state;  // small widths use the reference sweep
 
-  // --- operand-major exact result planes --------------------------------
+  // --- operand-major block layout ---------------------------------------
   // Block index: (a << (w-6)) | bhi with bhi = operand B >> 6; the 64
   // in-word slots enumerate B's low six bits, so operand A is constant per
   // block.
@@ -39,27 +57,6 @@ basic_wmed_evaluator<Spec>::make_shared_state(const Spec& spec,
   static_assert((std::size_t{1} << 6) % kLanes == 0);
   state->pass_count = state->block_count / kLanes;
   AXC_EXPECTS(state->planes <= kMaxScanPlanes);
-
-  // Block-major staging layout first; re-laid into sweep order below once
-  // the visit order is known.
-  std::vector<std::uint64_t> block_planes(state->block_count * state->planes,
-                                          0);
-  for (std::size_t a = 0; a < spec.operand_count(); ++a) {
-    for (std::size_t bhi = 0; bhi < bhi_count; ++bhi) {
-      const std::size_t block = (a << (w - 6)) | bhi;
-      std::uint64_t* const pl = &block_planes[block * state->planes];
-      for (std::size_t t = 0; t < 64; ++t) {
-        const std::size_t b_op = (bhi << 6) | t;
-        // Two's-complement bits sign-extend negative exact results across
-        // all planes for free.
-        const auto bits =
-            static_cast<std::uint64_t>(state->exact[(b_op << w) | a]);
-        for (std::size_t p = 0; p < state->planes; ++p) {
-          pl[p] |= ((bits >> p) & 1) << t;
-        }
-      }
-    }
-  }
 
   // --- distribution-ordered sweep ---------------------------------------
   // Heaviest D(a) mass first: on infeasible mutants the early-abort bound
@@ -80,27 +77,36 @@ basic_wmed_evaluator<Spec>::make_shared_state(const Spec& spec,
   }
 
   // --- precompiled sweep-order planes -----------------------------------
-  // Exact result planes re-laid lane-major in visit order (one contiguous
+  // Exact result planes laid out lane-major in visit order (one contiguous
   // planes x kLanes tile per pass, vector-loadable by the batch kernel) and
   // the primary-input planes the simulator consumes per pass, so sweeps do
-  // no per-pass broadcasting or index math at all.
+  // no per-pass broadcasting or index math at all.  A block's planes are
+  // the bit-transpose of its 64 exact results: row t of the gathered matrix
+  // is the result for B = (bhi << 6) | t, so after the transpose row p holds
+  // bit p of all 64 results — plane p.  Two's-complement bits sign-extend
+  // negative exact results across all planes for free.
   state->exact_planes.resize(state->block_count * state->planes);
   state->input_planes.resize(state->block_count * 2 * w);
   const std::size_t bhi_mask = bhi_count - 1;
+  std::uint64_t rows[64];
   for (std::size_t pos = 0; pos < state->block_count; ++pos) {
     const std::uint32_t block = state->block_order[pos];
     const std::size_t pass = pos / kLanes;
     const std::size_t lane = pos % kLanes;
+    const std::size_t a = block >> (w - 6);
+    const std::size_t bhi = block & bhi_mask;
 
-    const std::uint64_t* const src = &block_planes[block * state->planes];
+    for (std::size_t t = 0; t < 64; ++t) {
+      const std::size_t b_op = (bhi << 6) | t;
+      rows[t] = static_cast<std::uint64_t>(state->exact[(b_op << w) | a]);
+    }
+    transpose64(rows);
     std::uint64_t* const dst =
         &state->exact_planes[pass * state->planes * kLanes];
     for (std::size_t p = 0; p < state->planes; ++p) {
-      dst[p * kLanes + lane] = src[p];
+      dst[p * kLanes + lane] = rows[p];
     }
 
-    const std::size_t a = block >> (w - 6);
-    const std::size_t bhi = block & bhi_mask;
     std::uint64_t* const in = &state->input_planes[pass * 2 * w * kLanes];
     for (unsigned i = 0; i < w; ++i) {
       in[i * kLanes + lane] = (a >> i) & 1 ? ~std::uint64_t{0} : 0;

@@ -85,6 +85,9 @@ class basic_wmed_evaluator {
   /// (spec, distribution) for every run — so a session builds it once via
   /// make_shared_state() and every evaluator (one per job, plus one per
   /// lambda slot in parallel searches) attaches to the same immutable copy.
+  /// The build walks the sweep order once and derives each block's planes
+  /// by a 64x64 bit-matrix transpose of its 64 gathered exact results, so
+  /// the plane words are written straight into exact_planes.
   struct shared_state {
     Spec spec{};
     /// weight[a] = D(a) / (2^w * output_scale) so WMED = sum weight[a]*|err|.

@@ -15,10 +15,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "core/result_store.h"
@@ -571,6 +573,67 @@ TEST(shard_runner, worker_starts_fresh_on_a_checkpoint_of_another_plan) {
 
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
+}
+
+/// One box, every worker crashing at once: the implicit local node is the
+/// only place work can go, so its failed leases must not quarantine it —
+/// each shard's retry waits out its own backoff and nothing more.  The
+/// node policy here would park the node for a minute if it were judged;
+/// should_stop bounds the sweep so such a stall fails fast, not hangs.
+TEST(shard_runner, implicit_local_crash_storm_retries_after_shard_backoff) {
+  const char* worker = worker_binary();
+  if (!worker) GTEST_SKIP() << "AXC_WORKER_BIN not set";
+
+  sweep_spec spec = mult_spec_small();
+  spec.plan.targets = {0.002, 0.005, 0.01, 0.02};
+  spec.plan.runs_per_target = 1;
+  spec.options.runs_per_target = 1;
+  const sweep_result reference = run_sweep_inprocess(spec);
+  ASSERT_TRUE(reference.complete);
+
+  using steady = std::chrono::steady_clock;
+  shard_runner_config config;
+  config.shards = 4;
+  config.work_dir = fresh_work_dir("crash-storm");
+  config.worker_binary = worker;
+  config.shard_env.assign(4, {"AXC_FAULT=worker-crash-generation@60"});
+  config.nodes_policy.quarantine_after = 1;
+  config.nodes_policy.reprobation = std::chrono::seconds(60);
+  const auto deadline = steady::now() + std::chrono::seconds(20);
+  config.should_stop = [deadline] { return steady::now() > deadline; };
+  std::vector<std::pair<shard_event, steady::time_point>> events;
+  config.on_event = [&events](const shard_event& e) {
+    events.emplace_back(e, steady::now());
+  };
+
+  const sweep_result sharded = run_sweep(spec, config);
+  EXPECT_FALSE(sharded.drained) << "the retries stalled past the deadline";
+  ASSERT_TRUE(sharded.complete);
+  ASSERT_EQ(sharded.shards.size(), 4u);
+  for (const shard_outcome& shard : sharded.shards) {
+    EXPECT_EQ(shard.attempts, 2u) << "shard " << shard.shard;
+  }
+  expect_same_bytes(sharded, reference);
+
+  // Crash → respawn gap per shard: the shard backoff plus scheduling slack.
+  const auto limit = config.backoff + std::chrono::seconds(2);
+  for (std::size_t shard = 0; shard < 4; ++shard) {
+    std::optional<steady::time_point> exited;
+    bool respawned = false;
+    for (const auto& [e, at] : events) {
+      if (e.shard != shard) continue;
+      if (e.kind == shard_event_kind::exited) exited = at;
+      if (e.kind == shard_event_kind::spawned && exited) {
+        EXPECT_LE(at - *exited, limit) << "shard " << shard;
+        respawned = true;
+        break;
+      }
+    }
+    EXPECT_TRUE(respawned) << "shard " << shard << " never respawned";
+  }
+
+  std::error_code ec;
+  std::filesystem::remove_all(config.work_dir, ec);
 }
 
 }  // namespace
