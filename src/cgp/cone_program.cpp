@@ -58,7 +58,6 @@ void cone_program::bind(const genotype& parent) {
   applied_child_ = nullptr;
   indices_stale_ = false;
   membership_deferred_ = false;
-  fns_valid_ = false;
 }
 
 cone_program::delta cone_program::apply(const genotype& parent,
@@ -147,7 +146,6 @@ cone_program::delta cone_program::apply(const genotype& parent,
     }
   }
   applied_child_ = &child;
-  fns_valid_ = false;
   membership_deferred_ = false;
 
   // Pass 3 — membership.  No count crossed zero: the child's cone equals
@@ -195,38 +193,37 @@ void cone_program::release_child(const genotype& parent) {
   ref_journal_.clear();
   applied_child_ = nullptr;
   membership_deferred_ = false;
-  fns_valid_ = false;
   // indices_stale_ stays as-is: the next apply() repacks lazily if needed.
 }
 
-std::span<const circuit::gate_fn> cone_program::step_fns() {
-  if (!fns_valid_) {
-    if (applied_child_ == nullptr && indices_stale_) {
-      // Reading the bound parent after a recompiled sibling was released:
-      // repair the index list before deriving the gate list from it.
-      program_.set_active_from_flags(active_.data(), active_.size());
-      indices_stale_ = false;
-    }
-    if (membership_deferred_) {
-      // Superset execution: derive the child's true cone for area parity
-      // with the decoded netlist (the sweep itself never needed it).
-      applied_child_->mark_cone(scratch_flags_);
-      const parameters& p = applied_child_->params();
-      fns_.clear();
-      for (std::size_t k = 0; k < scratch_flags_.size(); ++k) {
-        if (scratch_flags_[k]) {
-          fns_.push_back(p.function_set[applied_child_->nodes()[k].fn]);
-        }
-      }
-    } else {
-      fns_.resize(program_.active_count());
-      for (std::size_t i = 0; i < fns_.size(); ++i) {
-        fns_[i] = program_.table_fn(program_.active_index(i));
+double cone_program::cone_sum(
+    std::span<const double, circuit::gate_fn_count> weight) {
+  const auto w = [&weight](circuit::gate_fn fn) {
+    return weight[static_cast<std::size_t>(fn)];
+  };
+  double sum = 0.0;
+  if (membership_deferred_) {
+    // Superset execution: derive the child's true cone for area parity
+    // with the decoded netlist (the sweep itself never needed it).
+    applied_child_->mark_cone(scratch_flags_);
+    const parameters& p = applied_child_->params();
+    for (std::size_t k = 0; k < scratch_flags_.size(); ++k) {
+      if (scratch_flags_[k]) {
+        sum += w(p.function_set[applied_child_->nodes()[k].fn]);
       }
     }
-    fns_valid_ = true;
+    return sum;
   }
-  return fns_;
+  if (applied_child_ == nullptr && indices_stale_) {
+    // Reading the bound parent after a recompiled sibling was released:
+    // repair the index list before summing over it.
+    program_.set_active_from_flags(active_.data(), active_.size());
+    indices_stale_ = false;
+  }
+  for (std::size_t i = 0; i < program_.active_count(); ++i) {
+    sum += w(program_.table_fn(program_.active_index(i)));
+  }
+  return sum;
 }
 
 }  // namespace axc::cgp

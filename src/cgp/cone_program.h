@@ -31,13 +31,13 @@
 //     cone is a subset of the parent's; executing the parent's index list
 //     is still exact — the dropped gates feed no output — so the walk and
 //     repack are skipped and the true membership is derived lazily only if
-//     area estimation asks for it (feasible candidates).  Only a mutant
-//     that *activates* a node pays mark_cone + repack, and the repack is a
-//     flags pack (SIMD compress-store under AVX-512), not a rebuild.
+//     area estimation asks for it.  Only a mutant that *activates* a node
+//     pays mark_cone + repack, and the repack is a flags pack (SIMD
+//     compress-store under AVX-512), not a rebuild.
 //
 // The schedule produced by any path is observably identical to
 // sim_program(decode_cone()) — parity-tested in
-// tests/test_incremental_eval.cpp — and step_fns() lists the active gate
+// tests/test_incremental_eval.cpp — and cone_sum() walks the active gate
 // functions in emission (node address) order, which lets area estimation
 // run FP-identically to tech::estimate_area on the decoded cone netlist.
 #pragma once
@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "cgp/genotype.h"
+#include "circuit/gate.h"
 #include "circuit/simulator.h"
 
 namespace axc::cgp {
@@ -70,7 +71,7 @@ class cone_program {
   /// mutated flat gene indices are listed in `dirty` (from
   /// genotype::mutate(rng&, dirty); duplicates and no-op re-randomizations
   /// are fine).  `parent` must be the genotype passed to the last bind(),
-  /// and `child` must outlive the evaluation (step_fns() may read it).
+  /// and `child` must outlive the evaluation (cone_sum() may read it).
   /// Unless the result is `identical`, call release_child(parent) after
   /// evaluating before the next apply().
   delta apply(const genotype& parent, const genotype& child,
@@ -82,18 +83,21 @@ class cone_program {
   void release_child(const genotype& parent);
 
   [[nodiscard]] circuit::sim_program<lanes>& program() { return program_; }
-  /// Active gate functions in emission (node address) order — the cone
-  /// netlist's gate list, for netlist-free area estimation.  Valid for the
-  /// currently applied child (or the bound parent); built on demand (on
-  /// the superset-execution path this derives the child's true
-  /// membership, which the sweep itself never needs).
-  [[nodiscard]] std::span<const circuit::gate_fn> step_fns();
+  /// Sum of `weight[fn]` over the active gate functions in emission (node
+  /// address) order — the cone netlist's gate list, so with cell areas as
+  /// weights this is FP-identical to tech::estimate_area on the decoded
+  /// cone netlist (same addends, same order), without a netlist or a gate
+  /// list.  Reports the currently applied child (or the bound parent); on
+  /// the superset-execution path it derives the child's true membership,
+  /// which the sweep itself never needs.
+  [[nodiscard]] double cone_sum(
+      std::span<const double, circuit::gate_fn_count> weight);
   /// Steps the next run() executes.  This is the *schedule* length, not
   /// always the true cone size: it is the parent's count while a
   /// deactivation-only child is applied (see idea 4 above), and a
   /// recompiled sibling's count between its release and the next
-  /// apply()/bind() (the list is repaired lazily; step_fns() reports the
-  /// true gate list in every state).
+  /// apply()/bind() (the list is repaired lazily; cone_sum() reports the
+  /// true membership in every state).
   [[nodiscard]] std::size_t active_nodes() const {
     return program_.active_count();
   }
@@ -103,8 +107,6 @@ class cone_program {
   void write_step(const genotype& g, std::size_t k);
 
   circuit::sim_program<lanes> program_;
-  std::vector<circuit::gate_fn> fns_;        ///< step_fns() cache
-  bool fns_valid_{false};
   std::vector<std::uint8_t> active_;         ///< parent cone flags, per node
   std::vector<std::uint8_t> scratch_flags_;  ///< child cone recompute
   /// Per node: read-edges from active nodes + output seeds (> 0 iff in the
@@ -119,13 +121,13 @@ class cone_program {
   /// The applied child's dirty gene list (what release_child restores);
   /// empty when the schedule models the bound parent.
   std::vector<std::uint32_t> child_dirty_;
-  /// The genotype the schedule currently models (for lazy step_fns()).
+  /// The genotype the schedule currently models (for cone_sum()).
   const genotype* applied_child_{nullptr};
   /// The index list reflects a recompiled child's membership, not the
   /// parent's — repack from active_ before the next reuse.
   bool indices_stale_{false};
   /// Superset execution: the child's cone shrank but the parent's index
-  /// list is still being executed; step_fns() derives the true membership.
+  /// list is still being executed; cone_sum() derives the true membership.
   bool membership_deferred_{false};
 };
 

@@ -1,6 +1,7 @@
 #include "cgp/evolver.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -272,7 +273,14 @@ evolver::run_result evolver::run_incremental(const genotype& seed,
       evaluators[slot]->rebind(parent, parent_eval);
       bound_version[slot] = parent_version;
     }
-    out = evaluators[slot]->evaluate_child(parent, children[k], dirty[k]);
+    // A feasible parent caps its children's area: a larger child is
+    // rejected by every acceptance mode, so its error sweep decides
+    // nothing.  Equal area is never screened: neutral drift accepts it.
+    const double area_cap = parent_eval.feasible
+                                ? parent_eval.area
+                                : std::numeric_limits<double>::infinity();
+    out = evaluators[slot]->evaluate_child(parent, children[k], dirty[k],
+                                           area_cap);
   };
 
   if (workers == 1) {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 
@@ -34,15 +35,25 @@ struct evaluation {
 /// "a can replace b" — better or equal (neutral drift acceptance).
 [[nodiscard]] bool not_worse(const evaluation& a, const evaluation& b);
 
+/// What a capped evaluate_child() returns for a child it screened out:
+/// infeasible with unbounded error, so it ranks below every scored
+/// candidate and never replaces a feasible parent.
+inline constexpr evaluation screened_evaluation{
+    std::numeric_limits<double>::infinity(), 0.0, false};
+
 /// Genotype-native incremental evaluation contract (see cone_program): the
 /// evolver hands the evaluator the parent genotype and each mutant's dirty
 /// gene list instead of a materialized netlist, so the evaluator can keep
 /// the parent's compiled sim_program/cone schedule across the lambda
 /// mutants of a generation and patch rather than recompile.
 ///
-/// Contract: evaluate_child(parent, child, dirty) must return exactly what
-/// evaluate_and_bind(child) would — the incremental path is a pure
-/// throughput optimization, bit-identical to full recompilation.
+/// Contract: uncapped, evaluate_child(parent, child, dirty) must return
+/// exactly what evaluate_and_bind(child) would — the incremental path is a
+/// pure throughput optimization, bit-identical to full recompilation.
+/// With a finite `area_cap` it must return either that same evaluation or,
+/// only for a child whose area (computed exactly as a feasible evaluation
+/// reports it) exceeds the cap, screened_evaluation — without paying for
+/// the error sweep.
 class incremental_evaluator {
  public:
   virtual ~incremental_evaluator() = default;
@@ -57,10 +68,12 @@ class incremental_evaluator {
 
   /// Evaluates a mutant of the bound parent.  `dirty` lists the flat gene
   /// indices touched by mutation (genotype::mutate(rng&, dirty)); the
-  /// binding is left undisturbed.
-  virtual evaluation evaluate_child(const genotype& parent,
-                                    const genotype& child,
-                                    std::span<const std::uint32_t> dirty) = 0;
+  /// binding is left undisturbed.  A child larger than `area_cap` may be
+  /// screened (see the contract above); equal area is never screened.
+  virtual evaluation evaluate_child(
+      const genotype& parent, const genotype& child,
+      std::span<const std::uint32_t> dirty,
+      double area_cap = std::numeric_limits<double>::infinity()) = 0;
 };
 
 class evolver {
@@ -137,7 +150,11 @@ class evolver {
   /// new parent lazily on first use), with threads == 1 a single evaluator
   /// serves all slots; both orderings reproduce the same result bit for
   /// bit, and — given a conforming evaluator — the same result as run()
-  /// over full per-mutant recompilation.
+  /// over full per-mutant recompilation.  While the parent is feasible its
+  /// area caps every child's evaluation: a larger child cannot be accepted
+  /// under any options (feasible candidates rank by area first) nor
+  /// outrank an acceptable sibling, so skipping its error sweep changes no
+  /// result, counter or hook call.
   static run_result run_incremental(const genotype& seed,
                                     const incremental_factory& factory,
                                     const options& opts, std::size_t threads,

@@ -1,8 +1,10 @@
 #include "core/wmed_approximator.h"
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -20,20 +22,26 @@ namespace {
 /// cgp::incremental_evaluator over the genotype-native pipeline: compile or
 /// patch the parent's cone schedule, run the bit-plane sweep with early
 /// abort at the target, estimate area straight from the active gate
-/// functions.  Every path is bit-identical to scoring decode_cone() through
-/// the netlist-based evaluator (parity-tested in
-/// tests/test_incremental_eval.cpp).
+/// functions.  Every uncapped path is bit-identical to scoring
+/// decode_cone() through the netlist-based evaluator (parity-tested in
+/// tests/test_incremental_eval.cpp).  A capped child is priced first and,
+/// above the cap, screened without any sweep (the evolver's acceptance
+/// screen; see cgp::incremental_evaluator).
 template <metrics::component_spec Spec>
 class incremental_wmed final : public cgp::incremental_evaluator {
  public:
   incremental_wmed(wmed_shared_cache<Spec> cache,
                    const tech::cell_library& lib, double target,
                    simd::level simd)
-      : evaluator_(std::move(cache), simd), lib_(&lib), target_(target) {}
+      : evaluator_(std::move(cache), simd), target_(target) {
+    for (std::size_t f = 0; f < circuit::gate_fn_count; ++f) {
+      cell_area_[f] = lib.cell(static_cast<circuit::gate_fn>(f)).area_um2;
+    }
+  }
 
   cgp::evaluation evaluate_and_bind(const cgp::genotype& parent) override {
     cone_.bind(parent);
-    parent_eval_ = score();
+    parent_eval_ = score(kUncapped);
     return parent_eval_;
   }
 
@@ -43,33 +51,45 @@ class incremental_wmed final : public cgp::incremental_evaluator {
     parent_eval_ = eval;  // the known evaluation spares the parent sweep
   }
 
-  cgp::evaluation evaluate_child(
-      const cgp::genotype& parent, const cgp::genotype& child,
-      std::span<const std::uint32_t> dirty) override {
+  cgp::evaluation evaluate_child(const cgp::genotype& parent,
+                                 const cgp::genotype& child,
+                                 std::span<const std::uint32_t> dirty,
+                                 double area_cap) override {
     const cgp::cone_program::delta d = cone_.apply(parent, child, dirty);
     // Phenotype-identical mutants (every mutated gene landed on its old
     // value or in the inactive padding) score exactly like the parent.
     if (d == cgp::cone_program::delta::identical) return parent_eval_;
-    const cgp::evaluation eval = score();
+    const cgp::evaluation eval = score(area_cap);
     cone_.release_child(parent);
     return eval;
   }
 
  private:
-  cgp::evaluation score() {
+  static constexpr double kUncapped = std::numeric_limits<double>::infinity();
+
+  /// Area of the applied schedule, FP-identical to tech::estimate_area on
+  /// the decoded cone netlist.
+  double area() { return cone_.cone_sum(cell_area_); }
+
+  cgp::evaluation score(double area_cap) {
+    // A capped call prices the child before sweeping it: above the cap it
+    // is screened, at or below it the area is reused.  Uncapped calls
+    // keep pricing only feasible candidates.
+    const bool capped = area_cap != kUncapped;
+    const double child_area = capped ? area() : 0.0;
+    if (child_area > area_cap) return cgp::screened_evaluation;
     cgp::evaluation eval;
     // Eq. 1: abort the error sweep once the candidate is proven infeasible;
     // area is only ranked among feasible candidates.
     eval.error = evaluator_.evaluate_program(cone_.program(), target_);
     eval.feasible = eval.error <= target_;
-    eval.area =
-        eval.feasible ? tech::estimate_area(cone_.step_fns(), *lib_) : 0.0;
+    if (eval.feasible) eval.area = capped ? child_area : area();
     return eval;
   }
 
   metrics::basic_wmed_evaluator<Spec> evaluator_;
   cgp::cone_program cone_;
-  const tech::cell_library* lib_;
+  std::array<double, circuit::gate_fn_count> cell_area_{};
   double target_;
   cgp::evaluation parent_eval_{};
 };

@@ -21,10 +21,12 @@
 // inner loop.  For fast-path widths (>= 6) candidates are evaluated through
 // the genotype-native incremental pipeline (cgp::cone_program +
 // evolver::run_incremental): mutants never materialize netlists, the
-// parent's compiled schedule is patched per mutant, and phenotype-identical
-// mutants reuse the parent's score.  The incremental path is bit-identical
-// to full per-mutant recompilation (`incremental` toggles it for parity
-// testing).
+// parent's compiled schedule is patched per mutant, phenotype-identical
+// mutants reuse the parent's score, and while the parent is feasible a
+// mutant larger than it is rejected on its area alone, without an error
+// sweep (no acceptance rule could take it).  The incremental path is
+// bit-identical to full per-mutant recompilation (`incremental` toggles it
+// for parity testing).
 #pragma once
 
 #include <cstdint>

@@ -20,13 +20,6 @@ double estimate_area(const netlist& nl, const cell_library& lib) {
   return area;
 }
 
-double estimate_area(std::span<const gate_fn> active_fns,
-                     const cell_library& lib) {
-  double area = 0.0;
-  for (const gate_fn fn : active_fns) area += lib.cell(fn).area_um2;
-  return area;
-}
-
 double critical_path_ps(const netlist& nl, const cell_library& lib) {
   const std::vector<bool> active = nl.active_mask();
   const std::size_t ni = nl.num_inputs();

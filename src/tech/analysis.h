@@ -37,16 +37,10 @@ struct circuit_report {
 };
 
 /// Fast area estimate (called in the CGP inner loop): sum of active-gate
-/// cell areas in um^2.
+/// cell areas in um^2, in gate order.  The genotype-native search path
+/// reproduces it FP-identically without a netlist
+/// (cgp::cone_program::cone_sum over cell areas, same addends and order).
 double estimate_area(const circuit::netlist& nl, const cell_library& lib);
-
-/// Area of an already-extracted active cone given its gate functions in
-/// topological (emission) order — FP-identical to estimate_area() on the
-/// corresponding compacted netlist, whose gates are all active and appear
-/// in the same order.  Serves the genotype-native incremental search path
-/// (cgp::cone_program::step_fns), which never materializes a netlist.
-double estimate_area(std::span<const circuit::gate_fn> active_fns,
-                     const cell_library& lib);
 
 /// Static timing: critical-path delay in ps over active gates.
 double critical_path_ps(const circuit::netlist& nl, const cell_library& lib);
