@@ -42,7 +42,8 @@ namespace {
 
 using namespace axc;
 
-/// Worker/connection counts for the _mt benches: always 2 (the stable
+/// Worker/connection counts for the multi-threaded benches
+/// (bm_sweep_session_jobs, bm_server_hit_mc): always 2 (the stable
 /// point the regression gate watches) plus the machine's concurrency or
 /// the AXC_BENCH_THREADS override (bench/run_micro.sh --threads N).
 std::size_t bench_threads() {
@@ -58,6 +59,13 @@ void mt_args(benchmark::internal::Benchmark* b) {
   b->Arg(2);
   const auto t = static_cast<int>(bench_threads());
   if (t != 2) b->Arg(t);
+}
+
+/// Job-thread counts for bm_sweep_session_jobs: serial, 2, and the
+/// machine's concurrency (or the AXC_BENCH_THREADS override).
+void jobs_args(benchmark::internal::Benchmark* b) {
+  b->Arg(1);
+  mt_args(b);
 }
 
 void bm_simulate_block(benchmark::State& state) {
@@ -325,46 +333,6 @@ void bm_evolver_generation_scalar(benchmark::State& state) {
 }
 BENCHMARK(bm_evolver_generation_scalar)->UseManualTime();
 
-void bm_evolver_generation_mt(benchmark::State& state) {
-  // A short incremental search driven end to end through
-  // evolver::run_incremental with N worker threads (one evaluator per
-  // lambda slot) — the multi-core scaling trajectory of the search inner
-  // loop, including the area-first acceptance screen the real search
-  // applies.  One iteration is one whole 64-generation run; the
-  // per-offspring cost is the `offspring_ns` counter.  On a single-core box
-  // this records the synchronization overhead floor, not a speedup.
-  const metrics::mult_spec spec{8, false};
-  const dist::pmf d = dist::pmf::half_normal(256, 64.0);
-  const auto& lib = tech::cell_library::nangate45_like();
-  const auto cache = metrics::wmed_evaluator::make_shared_state(spec, d);
-  const cgp::genotype start = search_candidate();
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  cgp::evolver::options opts;
-  opts.iterations = 64;
-  const cgp::evolver::incremental_factory factory =
-      [&cache, &lib]() -> std::unique_ptr<cgp::incremental_evaluator> {
-    return core::make_incremental_wmed_evaluator<metrics::mult_spec>(
-        cache, lib, 1e-4);
-  };
-  std::size_t offspring = 0;
-  for (auto _ : state) {
-    rng gen(3);
-    const auto t0 = std::chrono::steady_clock::now();
-    const cgp::evolver::run_result run =
-        cgp::evolver::run_incremental(start, factory, opts, threads, gen);
-    benchmark::DoNotOptimize(run.evaluations);
-    const auto t1 = std::chrono::steady_clock::now();
-    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
-    offspring += run.evaluations;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(offspring));
-  // Seconds per offspring over the manual (wall) time, reported in ns.
-  state.counters["offspring_ns"] = benchmark::Counter(
-      static_cast<double>(offspring) * 1e-9,
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-BENCHMARK(bm_evolver_generation_mt)->Apply(mt_args)->UseManualTime();
-
 void bm_evolver_generation_roundtrip(benchmark::State& state) {
   // The pre-incremental inner loop (PR 1's bm_evolver_generation): mutate,
   // decode_cone() to a fresh netlist, recompile the sim program, score with
@@ -503,25 +471,33 @@ void bm_sweep_session(benchmark::State& state) {
 }
 BENCHMARK(bm_sweep_session);
 
-void bm_sweep_session_mt(benchmark::State& state) {
-  // The session sweep with each job's lambda evaluation spread over N
-  // worker threads (approximation_config::threads) — the orchestration
-  // layer's multi-core trajectory, complementing the per-offspring view of
-  // bm_evolver_generation_mt.
+void bm_sweep_session_jobs(benchmark::State& state) {
+  // A search-dominated session sweep — 8 jobs (4 targets x 2 runs) of 1000
+  // generations each — with its jobs spread over N worker threads
+  // (session_config::job_threads), the search's one grain of parallelism.
+  // Each iteration is a whole session, cold evaluator cache included, timed
+  // on the wall clock.  Unlike bm_sweep_session the CGP loop dominates:
+  // the same session at 0 generations (cache build, per-job grids, final
+  // measurement and archive) took 2.0 ms against 356 ms for the serial run
+  // (0.6%) on a 4-vCPU AVX-512 box.
   core::approximation_config config = sweep_session_config();
-  config.threads = static_cast<std::size_t>(state.range(0));
+  config.iterations = 1000;
   const circuit::netlist seed = mult::unsigned_multiplier(8);
   core::sweep_plan plan;
-  plan.targets = {1e-4, 1e-2};
+  plan.targets = {1e-4, 1e-3, 5e-3, 2e-2};
   plan.runs_per_target = config.runs_per_target;
   for (auto _ : state) {
-    core::search_session session(core::make_component(config), seed, plan);
+    core::session_config options;
+    options.job_threads = static_cast<std::size_t>(state.range(0));
+    core::search_session session(core::make_component(config), seed, plan,
+                                 std::move(options));
     session.run();
     benchmark::DoNotOptimize(session.front().size());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(plan.jobs().size()));
 }
-BENCHMARK(bm_sweep_session_mt)->Apply(mt_args);
+BENCHMARK(bm_sweep_session_jobs)->Apply(jobs_args)->UseRealTime();
 
 void bm_sweep_session_cold_cache(benchmark::State& state) {
   // The pre-session behaviour: every job rebuilds the evaluator tables

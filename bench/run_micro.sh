@@ -20,10 +20,11 @@
 # count) without running anything — the quick answer to "which baselines
 # can --against name?".
 #
-# --threads N sets AXC_BENCH_THREADS for the run: the *_mt benches
-# (bm_evolver_generation_mt, bm_sweep_session_mt, bm_server_hit_mc) then
-# measure at N workers/connections instead of their default sweep — the
-# knob for recording a many-core trajectory point on a bigger box.
+# --threads N sets AXC_BENCH_THREADS for the run: the multi-threaded
+# benches (bm_sweep_session_jobs: session job threads; bm_server_hit_mc:
+# client connections) then measure at N instead of the machine's
+# concurrency — the knob for recording a many-core trajectory point on a
+# bigger box.
 #
 # Examples:
 #   bench/run_micro.sh                                  # default build dir
@@ -149,14 +150,14 @@ trajectory_path, run_path, against = sys.argv[1:4]
 
 # The perf levers the ROADMAP tracks; >25% slower than the baseline fails.
 # Names are compared with any "/manual_time" suffix stripped, so baselines
-# recorded before a bench switched to UseManualTime stay comparable.
+# recorded before a bench switched to UseManualTime stay comparable
+# (bm_sweep_session_jobs keeps its "/real_time" suffix).
 WATCHED = (
     "bm_wmed_evaluate",
     "bm_wmed_shared_state",
     "bm_evolver_generation",
     "bm_evolver_generation_adder",
-    "bm_evolver_generation_mt/2",
-    "bm_sweep_session_mt/2",
+    "bm_sweep_session_jobs/2/real_time",
     "bm_checkpoint_save",
     "bm_checkpoint_resume",
     "bm_store_put",

@@ -1,12 +1,10 @@
 #include "cgp/evolver.h"
 
-#include <algorithm>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "support/assert.h"
-#include "support/thread_pool.h"
 
 namespace axc::cgp {
 
@@ -21,16 +19,6 @@ bool not_worse(const evaluation& a, const evaluation& b) {
 }
 
 namespace {
-
-/// Parallel offspring evaluation writes one slot per worker; padding the
-/// slots to cache lines keeps a worker's store from invalidating its
-/// neighbours' lines (false sharing — measurable on the ~microsecond
-/// per-mutant evaluations of the incremental path).
-struct alignas(64) padded_evaluation {
-  evaluation value;
-};
-static_assert(alignof(padded_evaluation) == 64);
-static_assert(sizeof(padded_evaluation) == 64);
 
 /// One (1 + lambda) run, shared by the netlist-based and incremental
 /// pipelines.  Hooks:
@@ -83,14 +71,13 @@ evolver::run_result run_core(const genotype& seed, const init_fn& initial,
       result.stopped = true;
       break;
     }
-    // Mutation consumes the shared RNG serially, in offspring order —
-    // identical draws whether evaluation below is serial or parallel.
+    // Mutation consumes the shared RNG in offspring order, so both
+    // pipelines draw identical streams.
     mutate_children(parent, children, gen);
     evaluate_offspring(parent, parent_eval, children, evals);
     result.evaluations += lambda;
 
-    // Deterministic reduction: scan in mutation order, keep the earliest
-    // strictly-best offspring (the serial loop's semantics).
+    // Scan in mutation order, keep the earliest strictly-best offspring.
     std::size_t best_k = 0;
     for (std::size_t k = 1; k < lambda; ++k) {
       if (strictly_better(evals[k], evals[best_k])) best_k = k;
@@ -117,7 +104,7 @@ evolver::run_result run_core(const genotype& seed, const init_fn& initial,
   return result;
 }
 
-/// The plain mutation hook of the netlist-based pipelines.
+/// The plain mutation hook of the netlist-based pipeline.
 void mutate_plain(const genotype& parent, std::vector<genotype>& children,
                   rng& gen) {
   for (genotype& child : children) {
@@ -149,83 +136,16 @@ evolver::run_result evolver::run(const genotype& seed,
                   no_accept_hook, opts, gen);
 }
 
-evolver::run_result evolver::run_parallel(const genotype& seed,
-                                          const evaluator_factory& factory,
-                                          const options& opts,
-                                          std::size_t threads, rng& gen) {
-  AXC_EXPECTS(factory != nullptr);
-  AXC_EXPECTS(threads >= 1);
-
-  // One evaluator per offspring slot: no sharing across workers, and slot k
-  // always evaluates with the same instance regardless of scheduling.
-  const std::size_t lambda = seed.params().lambda;
-  std::vector<evaluate_fn> evaluators;
-  evaluators.reserve(lambda);
-  for (std::size_t k = 0; k < lambda; ++k) {
-    evaluators.push_back(factory());
-    AXC_EXPECTS(evaluators.back() != nullptr);
-  }
-  const auto initial = [&evaluators](const genotype& g) {
-    return evaluators[0](g.decode_cone());
-  };
-
-  if (threads == 1 || lambda == 1) {
-    const auto evaluate_offspring =
-        [&evaluators](const genotype&, const evaluation&,
-                      std::vector<genotype>& children,
-                      std::vector<evaluation>& evals) {
-          for (std::size_t k = 0; k < children.size(); ++k) {
-            evals[k] = evaluators[k](children[k].decode_cone());
-          }
-        };
-    return run_core(seed, initial, mutate_plain, evaluate_offspring,
-                    no_accept_hook, opts, gen);
-  }
-
-  thread_pool pool(std::min(threads, lambda));
-  std::vector<padded_evaluation> slots(lambda);
-  const auto evaluate_offspring = [&evaluators, &pool, &slots](
-                                      const genotype&, const evaluation&,
-                                      std::vector<genotype>& children,
-                                      std::vector<evaluation>& evals) {
-    parallel_for(pool, children.size(), [&](std::size_t k) {
-      slots[k].value = evaluators[k](children[k].decode_cone());
-    });
-    for (std::size_t k = 0; k < children.size(); ++k) {
-      evals[k] = slots[k].value;
-    }
-  };
-  return run_core(seed, initial, mutate_plain, evaluate_offspring,
-                  no_accept_hook, opts, gen);
-}
-
 evolver::run_result evolver::run_incremental(const genotype& seed,
-                                             const incremental_factory& factory,
-                                             const options& opts,
-                                             std::size_t threads, rng& gen) {
-  AXC_EXPECTS(factory != nullptr);
-  AXC_EXPECTS(threads >= 1);
-
+                                             incremental_evaluator& evaluator,
+                                             const options& opts, rng& gen) {
   const std::size_t lambda = seed.params().lambda;
-  const std::size_t workers = std::min(threads, lambda);
-  // Serial: one evaluator serves every slot (one parent compile per
-  // acceptance).  Parallel: one evaluator per slot, never shared across
-  // workers; each rebinds lazily on its first evaluation after the parent
-  // changed.  Evaluations are pure functions of (parent, child), so both
-  // arrangements — and any worker scheduling — are bit-identical.
-  const std::size_t count = workers == 1 ? 1 : lambda;
-  std::vector<std::unique_ptr<incremental_evaluator>> evaluators;
-  evaluators.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    evaluators.push_back(factory());
-    AXC_EXPECTS(evaluators.back() != nullptr);
-  }
-
-  std::uint64_t parent_version = 1;
-  std::vector<std::uint64_t> bound_version(count, 0);
-  const auto initial = [&](const genotype& g) {
-    bound_version[0] = parent_version;
-    return evaluators[0]->evaluate_and_bind(g);
+  // The evaluator rebinds lazily, on the first evaluation after the parent
+  // changed, so a run that ends on an acceptance never compiles the final
+  // parent.
+  bool rebind = false;
+  const auto initial = [&evaluator](const genotype& g) {
+    return evaluator.evaluate_and_bind(g);
   };
 
   // Mutation with dirty-gene recording; RNG draws are identical to the
@@ -250,9 +170,8 @@ evolver::run_result evolver::run_incremental(const genotype& seed,
     }
   };
 
-  const auto on_accept = [&parent_version, &dirty,
-                          &resync](std::size_t best_k) {
-    ++parent_version;
+  const auto on_accept = [&rebind, &dirty, &resync](std::size_t best_k) {
+    rebind = true;
     // The swapped-out child (slot best_k) is the old parent: it differs
     // from the new parent by exactly the accepted dirty genes, which is
     // already what resync[best_k] holds.  Every other child now also
@@ -264,14 +183,13 @@ evolver::run_result evolver::run_incremental(const genotype& seed,
     }
   };
 
-  const auto eval_one = [&](const genotype& parent,
-                            const evaluation& parent_eval,
-                            std::vector<genotype>& children, std::size_t k,
-                            evaluation& out) {
-    const std::size_t slot = count == 1 ? 0 : k;
-    if (bound_version[slot] != parent_version) {
-      evaluators[slot]->rebind(parent, parent_eval);
-      bound_version[slot] = parent_version;
+  const auto evaluate_offspring = [&](const genotype& parent,
+                                      const evaluation& parent_eval,
+                                      std::vector<genotype>& children,
+                                      std::vector<evaluation>& evals) {
+    if (rebind) {
+      evaluator.rebind(parent, parent_eval);
+      rebind = false;
     }
     // A feasible parent caps its children's area: a larger child is
     // rejected by every acceptance mode, so its error sweep decides
@@ -279,34 +197,9 @@ evolver::run_result evolver::run_incremental(const genotype& seed,
     const double area_cap = parent_eval.feasible
                                 ? parent_eval.area
                                 : std::numeric_limits<double>::infinity();
-    out = evaluators[slot]->evaluate_child(parent, children[k], dirty[k],
-                                           area_cap);
-  };
-
-  if (workers == 1) {
-    const auto evaluate_offspring = [&](const genotype& parent,
-                                        const evaluation& parent_eval,
-                                        std::vector<genotype>& children,
-                                        std::vector<evaluation>& evals) {
-      for (std::size_t k = 0; k < children.size(); ++k) {
-        eval_one(parent, parent_eval, children, k, evals[k]);
-      }
-    };
-    return run_core(seed, initial, mutate_children, evaluate_offspring,
-                    on_accept, opts, gen);
-  }
-
-  thread_pool pool(workers);
-  std::vector<padded_evaluation> slots(lambda);
-  const auto evaluate_offspring = [&](const genotype& parent,
-                                      const evaluation& parent_eval,
-                                      std::vector<genotype>& children,
-                                      std::vector<evaluation>& evals) {
-    parallel_for(pool, children.size(), [&](std::size_t k) {
-      eval_one(parent, parent_eval, children, k, slots[k].value);
-    });
     for (std::size_t k = 0; k < children.size(); ++k) {
-      evals[k] = slots[k].value;
+      evals[k] = evaluator.evaluate_child(parent, children[k], dirty[k],
+                                          area_cap);
     }
   };
   return run_core(seed, initial, mutate_children, evaluate_offspring,

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <span>
 
 #include "cgp/genotype.h"
@@ -79,10 +78,6 @@ class incremental_evaluator {
 class evolver {
  public:
   using evaluate_fn = std::function<evaluation(const circuit::netlist&)>;
-  /// Creates one evaluator instance per worker thread.  Evaluators commonly
-  /// carry mutable scratch state (e.g. metrics::wmed_evaluator), so the
-  /// parallel evolver never shares one across threads.
-  using evaluator_factory = std::function<evaluate_fn()>;
   /// Called whenever the parent strictly improves.
   using progress_fn =
       std::function<void(std::size_t iteration, const evaluation&)>;
@@ -129,36 +124,23 @@ class evolver {
   static run_result run(const genotype& seed, const evaluate_fn& evaluate,
                         const options& opts, rng& gen);
 
-  /// Parallel (1 + lambda): each generation's mutants are decoded and
-  /// evaluated across `threads` workers (capped by lambda), each offspring
-  /// slot owning its own evaluator from `factory`.  Mutation draws happen
-  /// serially on `gen` and the offspring reduction scans in mutation order,
-  /// so for a fixed seed and deterministic evaluators the result is
-  /// bit-identical to the serial run().
-  static run_result run_parallel(const genotype& seed,
-                                 const evaluator_factory& factory,
-                                 const options& opts, std::size_t threads,
-                                 rng& gen);
-
-  using incremental_factory =
-      std::function<std::unique_ptr<incremental_evaluator>()>;
-
   /// (1 + lambda) over the genotype-native incremental pipeline: mutants
-  /// are never decoded to netlists; each evaluator keeps the parent's
-  /// compiled schedule and receives (parent, child, dirty genes).  With
-  /// threads > 1 every offspring slot owns one evaluator (rebinding to a
-  /// new parent lazily on first use), with threads == 1 a single evaluator
-  /// serves all slots; both orderings reproduce the same result bit for
-  /// bit, and — given a conforming evaluator — the same result as run()
-  /// over full per-mutant recompilation.  While the parent is feasible its
-  /// area caps every child's evaluation: a larger child cannot be accepted
-  /// under any options (feasible candidates rank by area first) nor
-  /// outrank an acceptable sibling, so skipping its error sweep changes no
-  /// result, counter or hook call.
+  /// are never decoded to netlists; `evaluator` keeps the parent's compiled
+  /// schedule and receives (parent, child, dirty genes), rebinding once per
+  /// accepted child.  Given a conforming evaluator the result is
+  /// bit-identical to run() over full per-mutant recompilation.  While the
+  /// parent is feasible its area caps every child's evaluation: a larger
+  /// child cannot be accepted under any options (feasible candidates rank
+  /// by area first) nor outrank an acceptable sibling, so skipping its
+  /// error sweep changes no result, counter or hook call.
+  ///
+  /// Both entry points evaluate the lambda mutants of a generation
+  /// serially: at ~1.5 us per 8-bit candidate no per-generation thread
+  /// handoff pays for itself.  Parallelism lives one level up, across
+  /// independent search jobs (core::session_config::job_threads).
   static run_result run_incremental(const genotype& seed,
-                                    const incremental_factory& factory,
-                                    const options& opts, std::size_t threads,
-                                    rng& gen);
+                                    incremental_evaluator& evaluator,
+                                    const options& opts, rng& gen);
 };
 
 }  // namespace axc::cgp

@@ -391,10 +391,10 @@ std::unique_ptr<app_metric> make_power_metric(power_metric_options options) {
 rerank_result rerank_front(
     std::vector<app_candidate> candidates,
     std::span<const std::unique_ptr<app_metric>> metrics,
-    const rerank_config& config) {
+    const rerank_config& rerank) {
   AXC_EXPECTS(!metrics.empty());
-  AXC_EXPECTS(config.quality_metric < metrics.size());
-  AXC_EXPECTS(config.cost_metric < metrics.size());
+  AXC_EXPECTS(rerank.quality_metric < metrics.size());
+  AXC_EXPECTS(rerank.cost_metric < metrics.size());
 
   rerank_result result;
   result.metric_names.reserve(metrics.size());
@@ -408,7 +408,7 @@ rerank_result rerank_front(
   }
 
   const std::size_t n = result.designs.size();
-  thread_pool pool(std::max<std::size_t>(1, config.threads));
+  thread_pool pool(std::max<std::size_t>(1, rerank.threads));
 
   // Incremental re-ranking: with a cache attached, replay the scores of
   // (netlist, metric) pairs already evaluated by a previous rerank —
@@ -431,23 +431,23 @@ rerank_result rerank_front(
   for (std::size_t i = 0; i < n; ++i) {
     const circuit::netlist& nl = result.designs[i].candidate.netlist;
     const std::uint64_t nl_hash =
-        config.cache ? detail::netlist_hash(nl) : 0;
+        rerank.cache ? detail::netlist_hash(nl) : 0;
     for (std::size_t m = 0; m < metrics.size(); ++m) {
       std::uint64_t key = 0;
-      if (config.cache && metric_fp[m].has_value()) {
+      if (rerank.cache && metric_fp[m].has_value()) {
         detail::fnv1a h;
         h.mix(nl_hash);
         h.mix(*metric_fp[m]);
-        h.mix(config.spec.width);
-        h.mix(static_cast<std::uint64_t>(config.spec.is_signed));
+        h.mix(rerank.spec.width);
+        h.mix(static_cast<std::uint64_t>(rerank.spec.is_signed));
         key = h.value();
-        if (const std::optional<double> hit = config.cache->lookup(key, nl)) {
+        if (const std::optional<double> hit = rerank.cache->lookup(key, nl)) {
           result.designs[i].scores[m] = *hit;
           continue;
         }
       }
       jobs.push_back(
-          job_ref{i, m, key, config.cache && metric_fp[m].has_value()});
+          job_ref{i, m, key, rerank.cache && metric_fp[m].has_value()});
       needs_table[i] = true;
     }
   }
@@ -462,7 +462,7 @@ rerank_result rerank_front(
   }
   parallel_for(pool, to_compile.size(), [&](std::size_t c) {
     const std::size_t i = to_compile[c];
-    tables[i].emplace(result.designs[i].candidate.netlist, config.spec);
+    tables[i].emplace(result.designs[i].candidate.netlist, rerank.spec);
   });
 
   // Score the pending (candidate x metric) jobs.  Each job writes its own
@@ -475,10 +475,10 @@ rerank_result rerank_front(
 
   // Remember the fresh scores for the next rerank (serial: the parallel
   // region above never touches the cache).
-  if (config.cache) {
+  if (rerank.cache) {
     for (const job_ref& job : jobs) {
       if (!job.cacheable) continue;
-      config.cache->store(job.key, result.designs[job.i].candidate.netlist,
+      rerank.cache->store(job.key, result.designs[job.i].candidate.netlist,
                           result.designs[job.i].scores[job.m]);
     }
   }
@@ -490,10 +490,10 @@ rerank_result rerank_front(
   pareto_archive archive;
   for (std::size_t i = 0; i < n; ++i) {
     archive.insert(
-        pareto_point{oriented(config.quality_metric,
-                              result.designs[i].scores[config.quality_metric]),
-                     oriented(config.cost_metric,
-                              result.designs[i].scores[config.cost_metric]),
+        pareto_point{oriented(rerank.quality_metric,
+                              result.designs[i].scores[rerank.quality_metric]),
+                     oriented(rerank.cost_metric,
+                              result.designs[i].scores[rerank.cost_metric]),
                      i});
   }
   result.front = archive.points();

@@ -106,9 +106,9 @@ struct progress_event {
 };
 
 struct session_config {
-  /// Worker threads for running jobs concurrently (1 = in-order serial).
-  /// Layered above basic_approximation_config::threads (per-generation
-  /// lambda parallelism inside each job).
+  /// Worker threads for running jobs concurrently (1 = in-order serial) —
+  /// the search's only grain of parallelism: each job evaluates its lambda
+  /// mutants serially.
   std::size_t job_threads{1};
   /// Emit a job_generation event every N generations (0 = never).
   std::size_t generation_stride{0};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include "circuit/serialize.h"
 #include "core/node_pool.h"
 #include "core/result_store.h"
+#include "metrics/compiled_table.h"
 #include "support/checksum.h"
 #include "support/fault.h"
 #include "support/io.h"
@@ -45,6 +47,30 @@ std::string format_double(double value) {
 std::nullopt_t spec_error(const char* what) {
   std::fprintf(stderr, "axc: sweep spec: %s\n", what);
   return std::nullopt;
+}
+
+/// Why `spec.seed` cannot seed the built-in component `spec.component` at
+/// its width, or nullptr.  Reads the spec's fields only — no component,
+/// pmf or table is built — so every request parse can afford it.  Names
+/// without a built-in shape pass: the registry rejects unknown names when
+/// the component is built.
+const char* seed_shape_error(const sweep_spec& spec) {
+  const unsigned width = spec.options.width;
+  std::size_t outputs = 0;
+  if (spec.component == "mult") {
+    outputs = metrics::mult_spec{width, spec.options.is_signed}.result_bits();
+  } else if (spec.component == "adder") {
+    outputs = metrics::adder_spec{width}.result_bits();
+  } else {
+    return nullptr;
+  }
+  if (spec.seed.num_inputs() != 2 * std::size_t{width}) {
+    return "seed netlist inputs do not match width";
+  }
+  if (spec.seed.num_outputs() != outputs) {
+    return "seed netlist outputs do not match component";
+  }
+  return nullptr;
 }
 
 using clock = std::chrono::steady_clock;
@@ -275,9 +301,12 @@ void sweep_spec::write(std::ostream& os) const {
   os << "extra-columns " << options.extra_columns << "\n";
   os << "max-mutations " << options.max_mutations << "\n";
   os << "lambda " << options.lambda << "\n";
-  os << "threads " << options.threads << "\n";
+  // `threads` and `incremental` name retired execution knobs.  v1 keeps
+  // their lines, with fixed values, so specs persisted by older builds
+  // still parse; read() requires both and discards their values.
+  os << "threads 1\n";
   os << "error-tiebreak " << (options.error_tiebreak ? 1 : 0) << "\n";
-  os << "incremental " << (options.incremental ? 1 : 0) << "\n";
+  os << "incremental 1\n";
   os << "rng-seed " << options.rng_seed << "\n";
   os << "distribution " << options.distribution.size();
   for (const double mass : options.distribution.masses()) {
@@ -324,6 +353,10 @@ std::optional<sweep_spec> sweep_spec::read(std::istream& is) {
   if (!read_field("width", spec.options.width)) {
     return spec_error("missing width line");
   }
+  if (spec.options.width == 0 ||
+      spec.options.width > metrics::max_table_width) {
+    return spec_error("width outside what a component supports");
+  }
   if (!read_field("signed", flag)) return spec_error("missing signed line");
   spec.options.is_signed = flag != 0;
   if (!read_field("iterations", spec.options.iterations)) {
@@ -338,7 +371,8 @@ std::optional<sweep_spec> sweep_spec::read(std::istream& is) {
   if (!read_field("lambda", spec.options.lambda)) {
     return spec_error("missing lambda line");
   }
-  if (!read_field("threads", spec.options.threads)) {
+  std::size_t retired_threads = 0;
+  if (!read_field("threads", retired_threads)) {
     return spec_error("missing threads line");
   }
   if (!read_field("error-tiebreak", flag)) {
@@ -348,7 +382,6 @@ std::optional<sweep_spec> sweep_spec::read(std::istream& is) {
   if (!read_field("incremental", flag)) {
     return spec_error("missing incremental line");
   }
-  spec.options.incremental = flag != 0;
   if (!read_field("rng-seed", spec.options.rng_seed)) {
     return spec_error("missing rng-seed line");
   }
@@ -358,12 +391,24 @@ std::optional<sweep_spec> sweep_spec::read(std::istream& is) {
     std::istringstream ls(line);
     std::string k;
     std::size_t count = 0;
-    if (!(ls >> k >> count) || k != "distribution" || count > (1u << 24)) {
+    if (!(ls >> k >> count) || k != "distribution") {
       return spec_error("bad distribution line");
     }
+    // Empty means uniform; otherwise one mass per operand pattern.
+    if (count != 0 && count != std::size_t{1} << spec.options.width) {
+      return spec_error("distribution size does not match width");
+    }
     std::vector<double> masses(count);
+    double total = 0.0;
     for (double& mass : masses) {
       if (!(ls >> mass)) return spec_error("truncated distribution line");
+      if (!std::isfinite(mass) || mass < 0.0) {
+        return spec_error("distribution mass not finite and non-negative");
+      }
+      total += mass;
+    }
+    if (count > 0 && !(total > 0.0)) {
+      return spec_error("distribution has no mass");
     }
     // from_masses, not from_weights: the renormalizing division is not
     // bit-stable across a text round trip, and the distribution feeds the
@@ -385,6 +430,9 @@ std::optional<sweep_spec> sweep_spec::read(std::istream& is) {
     spec.plan.targets.resize(count);
     for (double& target : spec.plan.targets) {
       if (!(ls >> target)) return spec_error("truncated targets line");
+      if (!(target >= 0.0 && target <= 1.0)) {
+        return spec_error("target outside [0, 1]");
+      }
     }
   }
   spec.options.runs_per_target = spec.plan.runs_per_target;
@@ -395,6 +443,13 @@ std::optional<sweep_spec> sweep_spec::read(std::istream& is) {
   std::optional<circuit::netlist> seed = circuit::read_netlist(is);
   if (!seed) return spec_error("malformed seed netlist");
   spec.seed = *std::move(seed);
+  if (const char* error = seed_shape_error(spec)) return spec_error(error);
+  const std::string bad_grid =
+      search_parameters(spec.seed, spec.options.extra_columns,
+                        spec.options.max_mutations, spec.options.lambda,
+                        circuit::default_function_set())
+          .validate();
+  if (!bad_grid.empty()) return spec_error(bad_grid.c_str());
   if (!std::getline(is, line) || line != "end") {
     return spec_error("missing end marker");
   }

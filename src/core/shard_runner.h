@@ -114,7 +114,14 @@ struct sweep_spec {
   /// "axc-sweep-spec v1": strict text format (doubles as %.17g, netlist in
   /// the circuit::write_netlist format, `end` terminator).  Spec files are
   /// coordinator-written scratch, so read() is strict — any damage returns
-  /// nullopt.
+  /// nullopt.  Specs also arrive from untrusted clients (axc_serve), so
+  /// read() rejects any spec a built-in component could not be built or
+  /// searched from: a width outside 1..metrics::max_table_width, a
+  /// distribution that is neither empty nor one finite non-negative mass
+  /// per operand pattern, a target outside [0, 1], a seed netlist of the
+  /// wrong shape, or a CGP grid that fails cgp::parameters::validate().
+  /// The `threads` and `incremental` lines of v1 are retired: write()
+  /// emits them as 1, read() requires and ignores them.
   void write(std::ostream& os) const;
   [[nodiscard]] bool write_file(const std::string& path) const;
   [[nodiscard]] static std::optional<sweep_spec> read(std::istream& is);

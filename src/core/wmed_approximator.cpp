@@ -114,6 +114,30 @@ void finalize_config(basic_approximation_config<Spec>& config) {
   AXC_EXPECTS(!config.function_set.empty());
 }
 
+cgp::parameters search_parameters(
+    const circuit::netlist& seed, std::size_t extra_columns,
+    unsigned max_mutations, std::size_t lambda,
+    std::span<const circuit::gate_fn> function_set) {
+  cgp::parameters params;
+  params.num_inputs = seed.num_inputs();
+  params.num_outputs = seed.num_outputs();
+  params.columns = seed.num_gates() + extra_columns;
+  params.rows = 1;
+  params.levels_back = params.columns;
+  params.function_set.assign(function_set.begin(), function_set.end());
+  params.max_mutations = max_mutations;
+  params.lambda = lambda;
+  return params;
+}
+
+rng search_job_rng(std::uint64_t rng_seed, double target,
+                   std::size_t run_index) {
+  std::uint64_t mix = rng_seed;
+  mix ^= 0x9e3779b97f4a7c15ULL * (run_index + 1);
+  mix ^= static_cast<std::uint64_t>(target * 1e12) * 0xd1342543de82ef95ULL;
+  return rng(splitmix64(mix));
+}
+
 template <metrics::component_spec Spec>
 std::unique_ptr<cgp::incremental_evaluator> make_incremental_wmed_evaluator(
     wmed_shared_cache<Spec> cache, const tech::cell_library& lib,
@@ -142,26 +166,11 @@ std::optional<evolved_design> run_search_job(
   AXC_EXPECTS(seed.num_inputs() == 2 * config.spec.width);
   AXC_EXPECTS(seed.num_outputs() == config.spec.result_bits());
 
-  cgp::parameters params;
-  params.num_inputs = seed.num_inputs();
-  params.num_outputs = seed.num_outputs();
-  params.columns = seed.num_gates() + config.extra_columns;
-  params.rows = 1;
-  params.levels_back = params.columns;
-  params.function_set = config.function_set;
-  params.max_mutations = config.max_mutations;
-  params.lambda = config.lambda;
-
-  // Decorrelate runs/targets deterministically from the base seed; the
-  // stream depends only on (rng_seed, target, run_index), never on job
-  // scheduling, so sessions can run jobs in any order on any thread.
-  std::uint64_t mix = config.rng_seed;
-  mix ^= 0x9e3779b97f4a7c15ULL * (run_index + 1);
-  mix ^= static_cast<std::uint64_t>(target * 1e12) * 0xd1342543de82ef95ULL;
-  rng gen(splitmix64(mix));
-
-  const cgp::genotype start =
-      cgp::genotype::from_netlist(params, seed, gen);
+  rng gen = search_job_rng(config.rng_seed, target, run_index);
+  const cgp::genotype start = cgp::genotype::from_netlist(
+      search_parameters(seed, config.extra_columns, config.max_mutations,
+                        config.lambda, config.function_set),
+      seed, gen);
 
   metrics::basic_wmed_evaluator<Spec> wmed(cache, config.simd);
   const tech::cell_library* lib = config.library;
@@ -174,49 +183,22 @@ std::optional<evolved_design> run_search_job(
   opts.should_stop = hooks.should_stop;
 
   cgp::evolver::run_result run = [&] {
-    if (config.incremental && config.spec.width >= 6) {
+    if (config.spec.width >= 6) {
       // Genotype-native pipeline: mutants never round-trip through a
       // netlist; the parent's compiled schedule is shared and patched.
-      const cgp::evolver::incremental_factory factory = [&cache, lib, target,
-                                                         &config] {
-        return make_incremental_wmed_evaluator<Spec>(cache, *lib, target,
-                                                     config.simd);
-      };
-      return cgp::evolver::run_incremental(start, factory, opts,
-                                           config.threads, gen);
+      incremental_wmed<Spec> evaluator(cache, *lib, target, config.simd);
+      return cgp::evolver::run_incremental(start, evaluator, opts, gen);
     }
-
-    // Netlist-based fallback (small widths and parity testing).  Eq. 1
-    // scoring as above, with the sweep aborting at the target.
-    const auto score = [lib, target](
-                           metrics::basic_wmed_evaluator<Spec>& evaluator,
-                           const circuit::netlist& nl) {
-      const double error = evaluator.evaluate(nl, target);
-      cgp::evaluation eval;
-      eval.error = error;
-      eval.feasible = error <= target;
-      eval.area = eval.feasible ? tech::estimate_area(nl, *lib) : 0.0;
-      return eval;
-    };
-    if (config.threads > 1) {
-      // Parallel lambda-evaluation gives every offspring slot a private
-      // evaluator (they carry per-candidate scratch and sim programs).
-      const cgp::evolver::evaluator_factory factory =
-          [&cache, score, &config]() -> cgp::evolver::evaluate_fn {
-        auto evaluator =
-            std::make_shared<metrics::basic_wmed_evaluator<Spec>>(cache,
-                                                                  config.simd);
-        return [evaluator, score](const circuit::netlist& nl) {
-          return score(*evaluator, nl);
-        };
-      };
-      return cgp::evolver::run_parallel(start, factory, opts,
-                                        config.threads, gen);
-    }
+    // Netlist-based path for small widths.  Eq. 1 scoring as above, with
+    // the sweep aborting at the target.
     return cgp::evolver::run(
         start,
-        [&wmed, score](const circuit::netlist& nl) {
-          return score(wmed, nl);
+        [&wmed, lib, target](const circuit::netlist& nl) {
+          cgp::evaluation eval;
+          eval.error = wmed.evaluate(nl, target);
+          eval.feasible = eval.error <= target;
+          eval.area = eval.feasible ? tech::estimate_area(nl, *lib) : 0.0;
+          return eval;
         },
         opts, gen);
   }();

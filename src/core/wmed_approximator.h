@@ -24,9 +24,11 @@
 // parent's compiled schedule is patched per mutant, phenotype-identical
 // mutants reuse the parent's score, and while the parent is feasible a
 // mutant larger than it is rejected on its area alone, without an error
-// sweep (no acceptance rule could take it).  The incremental path is
-// bit-identical to full per-mutant recompilation (`incremental` toggles it
-// for parity testing).
+// sweep (no acceptance rule could take it).  Widths below 6 run the
+// netlist-based evolver::run instead, which every parity test also uses as
+// the reference: the incremental path is bit-identical to full per-mutant
+// recompilation.  Each search evaluates its lambda mutants serially; the
+// one grain of parallelism is the job (session_config::job_threads).
 #pragma once
 
 #include <cstdint>
@@ -44,6 +46,7 @@
 #include "metrics/component_spec.h"
 #include "metrics/mult_spec.h"
 #include "metrics/wmed_evaluator.h"
+#include "support/rng.h"
 #include "support/simd.h"
 #include "tech/cell_library.h"
 
@@ -66,24 +69,16 @@ struct basic_approximation_config {
   std::size_t extra_columns{64};
   unsigned max_mutations{5};  ///< h
   std::size_t lambda{4};
-  /// Worker threads for evaluating the lambda mutants of each generation
-  /// (1 = serial).  Results are bit-identical across thread counts: each
-  /// offspring slot owns its own evaluator and the reduction is ordered.
-  std::size_t threads{1};
   /// Bias neutral drift toward lower WMED at equal area (see
   /// cgp::evolver::options::error_tiebreak).  On by default: at practical
   /// search budgets it steers the error budget into many small deviations,
   /// which application-level quality rewards.
   bool error_tiebreak{true};
-  /// Evaluate mutants through the genotype-native incremental pipeline
-  /// (fast-path widths only; smaller widths always use the netlist path).
-  /// Bit-identical either way — off is only useful for parity tests.
-  bool incremental{true};
   /// Scan kernel backend for the WMED sweep (metrics/scan_kernels.h).
   /// `automatic` resolves to the strongest compiled-in backend the CPU
   /// supports (AXC_SIMD environment override honoured); every level is
-  /// bit-identical, so like `threads`/`incremental` this knob never changes
-  /// results and stays out of the checkpoint fingerprint.
+  /// bit-identical, so this knob never changes results and stays out of the
+  /// checkpoint fingerprint.
   simd::level simd{simd::level::automatic};
   std::vector<circuit::gate_fn> function_set{
       circuit::default_function_set().begin(),
@@ -108,6 +103,20 @@ extern template void finalize_config<metrics::mult_spec>(
     basic_approximation_config<metrics::mult_spec>&);
 extern template void finalize_config<metrics::adder_spec>(
     basic_approximation_config<metrics::adder_spec>&);
+
+/// The CGP grid a search job evolves from `seed` (Sec. III-C): one row of
+/// seed-gate-count + extra_columns nodes, each free to read any earlier
+/// column.  sweep_spec::read validates untrusted specs against it.
+[[nodiscard]] cgp::parameters search_parameters(
+    const circuit::netlist& seed, std::size_t extra_columns,
+    unsigned max_mutations, std::size_t lambda,
+    std::span<const circuit::gate_fn> function_set);
+
+/// The RNG stream a search job starts from: a pure function of
+/// (rng_seed, target, run_index), never of job scheduling, so sessions can
+/// run jobs in any order on any thread.
+[[nodiscard]] rng search_job_rng(std::uint64_t rng_seed, double target,
+                                 std::size_t run_index);
 
 /// One evolved approximate circuit.
 struct evolved_design {
@@ -200,8 +209,8 @@ extern template class basic_wmed_approximator<metrics::adder_spec>;
 using wmed_approximator = basic_wmed_approximator<metrics::mult_spec>;
 using adder_wmed_approximator = basic_wmed_approximator<metrics::adder_spec>;
 
-/// The incremental (genotype-native) evaluator the search uses when
-/// `incremental` is on: cone_program compile/patch + bit-plane sweep with
+/// The incremental (genotype-native) evaluator the search uses at widths
+/// >= 6: cone_program compile/patch + bit-plane sweep with
 /// early abort at `target` + netlist-free area estimation.  Exposed for
 /// benches and parity tests.  `simd` picks the scan kernel backend
 /// (bit-identical at every level; see approximation_config::simd).
@@ -211,7 +220,8 @@ std::unique_ptr<cgp::incremental_evaluator> make_incremental_wmed_evaluator(
     double target, simd::level simd = simd::level::automatic);
 
 /// Same, attaching to a pre-built shared cache instead of rebuilding the
-/// exact planes — what run_search_job hands each lambda slot.
+/// exact planes (run_search_job builds the same evaluator in place; this
+/// factory serves benches and parity tests).
 template <metrics::component_spec Spec>
 std::unique_ptr<cgp::incremental_evaluator> make_incremental_wmed_evaluator(
     wmed_shared_cache<Spec> cache, const tech::cell_library& lib,

@@ -33,7 +33,7 @@ std::vector<std::int32_t> narrow_table(std::vector<std::int64_t> wide) {
 template <component_spec Spec>
 std::vector<std::int32_t> build_narrow(const circuit::netlist& nl,
                                        const Spec& spec) {
-  AXC_EXPECTS(spec.width <= 12);
+  AXC_EXPECTS(spec.width <= max_table_width);
   return narrow_table(result_table_wide(nl, spec));
 }
 
@@ -109,7 +109,7 @@ basic_compiled_table<Spec>::basic_compiled_table(const circuit::netlist& nl,
 template <component_spec Spec>
 basic_compiled_table<Spec> basic_compiled_table<Spec>::exact(
     const Spec& spec) {
-  AXC_EXPECTS(spec.width <= 12);
+  AXC_EXPECTS(spec.width <= max_table_width);
   return basic_compiled_table(spec, narrow_table(exact_result_table(spec)));
 }
 

@@ -25,6 +25,10 @@
 
 namespace axc::metrics {
 
+/// Widest component an in-memory table holds (2^(2w) int32 entries: 64 MiB
+/// at w = 12).  Serving paths reject wider specs before characterizing.
+inline constexpr unsigned max_table_width = 12;
+
 /// Decoded results of a candidate netlist for every operand-pattern pair:
 /// entry[(b << w) | a] (the functional signature).  Scalar reference path —
 /// single-lane simulate_block sweep, as the pre-compiled_table

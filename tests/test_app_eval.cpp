@@ -230,14 +230,14 @@ TEST(app_eval, shared_power_cache_matches_uncached_metrics) {
   const auto uncached_metrics = make_metrics(false);
   const auto cached_metrics = make_metrics(true);
 
-  rerank_config config;
-  config.spec = metrics::mult_spec{8, true};
-  config.cost_metric = 1;
+  rerank_config rerank;
+  rerank.spec = metrics::mult_spec{8, true};
+  rerank.cost_metric = 1;
   const rerank_result uncached =
-      rerank_front(signed_candidates(), uncached_metrics, config);
-  config.threads = 4;  // exercise the cache's locking under contention
+      rerank_front(signed_candidates(), uncached_metrics, rerank);
+  rerank.threads = 4;  // exercise the cache's locking under contention
   const rerank_result cached =
-      rerank_front(signed_candidates(), cached_metrics, config);
+      rerank_front(signed_candidates(), cached_metrics, rerank);
 
   ASSERT_EQ(uncached.designs.size(), cached.designs.size());
   for (std::size_t i = 0; i < uncached.designs.size(); ++i) {

@@ -10,12 +10,10 @@
 //    for a child whose decoded cone is larger than the cap;
 //  * per search, the screened pipeline reproduces the never-screened
 //    netlist path (evolver::run) bit for bit — best genotype, best
-//    evaluation and every counter — under every acceptance mode and
-//    thread count.
+//    evaluation and every counter — under every acceptance mode.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -236,7 +234,7 @@ TEST(area_screen, uncapped_calls_score_larger_children_exactly) {
 class counting_evaluator final : public cgp::incremental_evaluator {
  public:
   counting_evaluator(std::unique_ptr<cgp::incremental_evaluator> inner,
-                     std::atomic<std::size_t>& screened_count)
+                     std::size_t& screened_count)
       : inner_(std::move(inner)), screened_(&screened_count) {}
 
   cgp::evaluation evaluate_and_bind(const cgp::genotype& parent) override {
@@ -252,13 +250,13 @@ class counting_evaluator final : public cgp::incremental_evaluator {
                                  double area_cap) override {
     const cgp::evaluation e =
         inner_->evaluate_child(parent, child, dirty, area_cap);
-    if (screened(e)) screened_->fetch_add(1, std::memory_order_relaxed);
+    if (screened(e)) ++*screened_;
     return e;
   }
 
  private:
   std::unique_ptr<cgp::incremental_evaluator> inner_;
-  std::atomic<std::size_t>* screened_;
+  std::size_t* screened_;
 };
 
 /// Random PMF over `n` operand patterns: log-uniform weights, so some
@@ -272,7 +270,7 @@ dist::pmf random_pmf(std::size_t n, rng& gen) {
 template <metrics::component_spec Spec>
 void check_search_oracle(const Spec& spec, const circuit::netlist& exact,
                          const std::string& name, rng& meta,
-                         std::atomic<std::size_t>& screened_count) {
+                         std::size_t& screened_count) {
   const auto& lib = tech::cell_library::nangate45_like();
   const dist::pmf d = random_pmf(spec.operand_count(), meta);
   // Log-uniform target over the paper's WMED axis.
@@ -312,37 +310,29 @@ void check_search_oracle(const Spec& spec, const circuit::netlist& exact,
           },
           opts, gen_ref);
 
-      for (const std::size_t threads : {std::size_t{1}, lambda}) {
-        rng gen(search_seed);
-        const cgp::genotype seed_inc = start(gen);
-        const cgp::evolver::run_result got = cgp::evolver::run_incremental(
-            seed_inc,
-            [&]() -> std::unique_ptr<cgp::incremental_evaluator> {
-              return std::make_unique<counting_evaluator>(
-                  core::make_incremental_wmed_evaluator<Spec>(cache, lib,
-                                                              target),
-                  screened_count);
-            },
-            opts, threads, gen);
-        const std::string at = where + " threads " + std::to_string(threads);
-        EXPECT_EQ(got.best, ref.best) << at;
-        EXPECT_TRUE(same(got.best_eval, ref.best_eval)) << at;
-        EXPECT_EQ(got.iterations, ref.iterations) << at;
-        EXPECT_EQ(got.evaluations, ref.evaluations) << at;
-        EXPECT_EQ(got.improvements, ref.improvements) << at;
-        EXPECT_EQ(got.neutral_moves, ref.neutral_moves) << at;
-      }
+      rng gen(search_seed);
+      const cgp::genotype seed_inc = start(gen);
+      counting_evaluator evaluator(
+          core::make_incremental_wmed_evaluator<Spec>(cache, lib, target),
+          screened_count);
+      const cgp::evolver::run_result got =
+          cgp::evolver::run_incremental(seed_inc, evaluator, opts, gen);
+      EXPECT_EQ(got.best, ref.best) << where;
+      EXPECT_TRUE(same(got.best_eval, ref.best_eval)) << where;
+      EXPECT_EQ(got.iterations, ref.iterations) << where;
+      EXPECT_EQ(got.evaluations, ref.evaluations) << where;
+      EXPECT_EQ(got.improvements, ref.improvements) << where;
+      EXPECT_EQ(got.neutral_moves, ref.neutral_moves) << where;
     }
   }
 }
 
 TEST(area_screen, screened_search_matches_unscreened_netlist_search) {
   // Seeded property test over components, signedness, widths 6-8, random
-  // PMFs and targets, every acceptance mode and serial/parallel offspring
-  // evaluation.  evolver::run never screens, so any decision the screen
+  // PMFs and targets and every acceptance mode.  evolver::run never screens, so any decision the screen
   // changed would show up as a diverging trajectory.
   rng meta(2024);
-  std::atomic<std::size_t> screened_count{0};
+  std::size_t screened_count = 0;
   for (unsigned width = 6; width <= 8; ++width) {
     check_search_oracle(metrics::mult_spec{width, false},
                         mult::unsigned_multiplier(width),
@@ -356,7 +346,7 @@ TEST(area_screen, screened_search_matches_unscreened_netlist_search) {
                         "adder" + std::to_string(width), meta,
                         screened_count);
   }
-  EXPECT_GT(screened_count.load(), 0u);
+  EXPECT_GT(screened_count, 0u);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // evolver::run_incremental) must be a pure throughput optimization:
 // bit-identical to decoding every mutant to a netlist and recompiling from
 // scratch — per-candidate WMED/area, whole searches, and the approximator's
-// incremental toggle.
+// designs.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -180,8 +180,7 @@ cgp::evolver::run_result incremental_search(const circuit::netlist& seed,
                                             const metrics::mult_spec& spec,
                                             const dist::pmf& d, double target,
                                             std::size_t iterations,
-                                            std::uint64_t seed_value,
-                                            std::size_t threads) {
+                                            std::uint64_t seed_value) {
   const auto& lib = tech::cell_library::nangate45_like();
   rng gen(seed_value);
   const cgp::genotype start =
@@ -189,12 +188,9 @@ cgp::evolver::run_result incremental_search(const circuit::netlist& seed,
   cgp::evolver::options opts;
   opts.iterations = iterations;
   opts.error_tiebreak = true;
-  return cgp::evolver::run_incremental(
-      start,
-      [&] {
-        return core::make_incremental_wmed_evaluator(spec, d, lib, target);
-      },
-      opts, threads, gen);
+  const auto evaluator =
+      core::make_incremental_wmed_evaluator(spec, d, lib, target);
+  return cgp::evolver::run_incremental(start, *evaluator, opts, gen);
 }
 
 TEST(incremental_eval, search_reproduces_netlist_search_bit_for_bit) {
@@ -205,21 +201,51 @@ TEST(incremental_eval, search_reproduces_netlist_search_bit_for_bit) {
 
   for (const std::uint64_t s : {1ull, 9ull}) {
     const auto full = netlist_search(seed, spec, d, target, 150, s);
-    for (const std::size_t threads : {1u, 3u}) {
-      const auto fast =
-          incremental_search(seed, spec, d, target, 150, s, threads);
-      EXPECT_EQ(fast.best, full.best) << "seed " << s << " threads "
-                                      << threads;
-      EXPECT_EQ(fast.best_eval.error, full.best_eval.error);
-      EXPECT_EQ(fast.best_eval.area, full.best_eval.area);
-      EXPECT_EQ(fast.evaluations, full.evaluations);
-      EXPECT_EQ(fast.improvements, full.improvements);
-      EXPECT_EQ(fast.neutral_moves, full.neutral_moves);
-    }
+    const auto fast = incremental_search(seed, spec, d, target, 150, s);
+    EXPECT_EQ(fast.best, full.best) << "seed " << s;
+    EXPECT_EQ(fast.best_eval.error, full.best_eval.error);
+    EXPECT_EQ(fast.best_eval.area, full.best_eval.area);
+    EXPECT_EQ(fast.evaluations, full.evaluations);
+    EXPECT_EQ(fast.improvements, full.improvements);
+    EXPECT_EQ(fast.neutral_moves, full.neutral_moves);
   }
 }
 
-TEST(incremental_eval, approximator_toggle_changes_nothing) {
+/// What the approximator's job would return had it scored every mutant
+/// through the netlist path: evolver::run on the job's own grid and RNG
+/// stream, the best cone re-measured exactly as run_search_job does.
+core::evolved_design netlist_path_design(
+    const core::approximation_config& config, const circuit::netlist& seed,
+    double target) {
+  const auto& lib = *config.library;
+  metrics::wmed_evaluator evaluator(config.spec, config.distribution);
+  rng gen = core::search_job_rng(config.rng_seed, target, 0);
+  const cgp::genotype start = cgp::genotype::from_netlist(
+      core::search_parameters(seed, config.extra_columns,
+                              config.max_mutations, config.lambda,
+                              config.function_set),
+      seed, gen);
+  cgp::evolver::options opts;
+  opts.iterations = config.iterations;
+  opts.error_tiebreak = config.error_tiebreak;
+  const cgp::evolver::run_result run = cgp::evolver::run(
+      start,
+      [&](const circuit::netlist& nl) {
+        cgp::evaluation e;
+        e.error = evaluator.evaluate(nl, target);
+        e.feasible = e.error <= target;
+        e.area = e.feasible ? tech::estimate_area(nl, lib) : 0.0;
+        return e;
+      },
+      opts, gen);
+  core::evolved_design design{run.best.decode_cone(), 0.0, 0.0, target,
+                              0, run.evaluations, run.improvements};
+  design.wmed = evaluator.evaluate(design.netlist);
+  design.area_um2 = tech::estimate_area(design.netlist, lib);
+  return design;
+}
+
+TEST(incremental_eval, approximator_matches_netlist_path) {
   core::approximation_config config;
   config.spec = metrics::mult_spec{6, false};
   config.distribution = dist::pmf::half_normal(64, 16.0);
@@ -229,13 +255,10 @@ TEST(incremental_eval, approximator_toggle_changes_nothing) {
 
   const circuit::netlist seed = mult::unsigned_multiplier(6);
 
-  config.incremental = true;
+  // Width 6 runs the incremental pipeline.
   const core::evolved_design fast =
       core::wmed_approximator(config).approximate(seed, 0.004);
-
-  config.incremental = false;
-  const core::evolved_design full =
-      core::wmed_approximator(config).approximate(seed, 0.004);
+  const core::evolved_design full = netlist_path_design(config, seed, 0.004);
 
   EXPECT_EQ(fast.netlist, full.netlist);
   EXPECT_EQ(fast.wmed, full.wmed);

@@ -33,6 +33,7 @@
 #include "mult/multipliers.h"
 #include "support/net.h"
 #include "support/subprocess.h"
+#include "test_util.h"
 
 namespace axc::core {
 namespace {
@@ -557,10 +558,87 @@ TEST(result_server, malformed_frames_never_wedge_the_accept_loop) {
   ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->status, "hit");
   EXPECT_EQ(*reply->payload, stored);
+  // Each abusive connection is counted by its own handler thread, which a
+  // loaded host may not have run yet when the hit above is answered.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.stats().malformed < 4u &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   EXPECT_GE(server.stats().malformed, 4u);
 
   server.request_stop();
   accept_thread.join();
+  std::error_code ec;
+  fs::remove_all(root, ec);
+}
+
+TEST(result_server, hostile_specs_are_rejected_and_the_daemon_keeps_serving) {
+  // Each spec below once aborted axc_serve (store_key() building the
+  // component, or a table characterizing a seed of the wrong shape), leaving
+  // every later client unable to connect.  sweep_spec::read now rejects
+  // them, so the request fails to parse and is answered `malformed`.
+  if (!serve_binary()) GTEST_SKIP() << "AXC_SERVE_BIN not set";
+  using test::replace_line;
+  const std::string root = fresh_dir("hostile-spec");
+  const sweep_spec spec = serve_spec(112);
+  const std::string stored = publish_front(root + "/store", spec);
+  auto daemon = spawn_server(root, "", /*with_worker=*/false);
+  ASSERT_TRUE(daemon.has_value());
+
+  const std::string get = encode_request(make_request("get", spec));
+  const std::string table = encode_request(make_request("table", spec));
+  const struct {
+    const char* what;
+    std::string text;
+  } cases[] = {
+      {"get: 3 masses at width 4",
+       replace_line(get, "distribution", "distribution 3 0.5 0.25 0.25")},
+      {"table: width 5 over a 4-bit seed",
+       replace_line(replace_line(table, "width", "width 5"), "distribution",
+                    "distribution 0")},
+      {"get: width above the table cap",
+       replace_line(replace_line(get, "width", "width 13"), "distribution",
+                    "distribution 0")},
+      {"get: lambda 0", replace_line(get, "lambda", "lambda 0")},
+      {"table: zero total mass",
+       replace_line(table, "distribution",
+                    "distribution 16 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0")},
+      {"get: target above 1", replace_line(get, "targets", "targets 1 2")},
+  };
+
+  const auto exchange = [](support::net::unix_stream& conn,
+                           const std::string& request) {
+    std::optional<serve_reply> reply;
+    if (!conn.send(request)) return reply;
+    if (const auto frame = conn.receive(1u << 20)) reply = parse_reply(*frame);
+    return reply;
+  };
+  auto conn = connect_server(root);
+  ASSERT_TRUE(conn.has_value());
+  for (const auto& c : cases) {
+    ASSERT_NE(c.text, get) << c.what;
+    const auto rejected = exchange(*conn, c.text);
+    ASSERT_TRUE(rejected.has_value()) << c.what << ": no reply";
+    EXPECT_EQ(rejected->status, "malformed") << c.what;
+    // The same connection goes on serving hits.
+    const auto hit = exchange(*conn, get);
+    ASSERT_TRUE(hit.has_value()) << "after " << c.what;
+    ASSERT_EQ(hit->status, "hit") << "after " << c.what;
+    EXPECT_EQ(hit->payload, stored);
+  }
+  // So does a new connection, and the daemon is still alive.
+  const auto fresh = ask_over_socket(root, make_request("get", spec));
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(fresh->status, "hit");
+  EXPECT_FALSE(daemon->poll().has_value());
+
+  conn.reset();  // an idle open connection would hold the drain
+  daemon->terminate();
+  const auto drained = wait_exit(*daemon);
+  ASSERT_TRUE(drained.has_value());
+  EXPECT_TRUE(drained->success());
   std::error_code ec;
   fs::remove_all(root, ec);
 }

@@ -29,6 +29,7 @@
 #include "mult/adders.h"
 #include "mult/multipliers.h"
 #include "support/subprocess.h"
+#include "test_util.h"
 
 namespace axc::core {
 namespace {
@@ -338,6 +339,83 @@ TEST(sweep_spec, read_rejects_damage) {
   }
   std::istringstream garbage("axc-sweep-spec v9\n");
   EXPECT_FALSE(sweep_spec::read(garbage).has_value());
+}
+
+std::string written(const sweep_spec& spec) {
+  std::ostringstream os;
+  spec.write(os);
+  return os.str();
+}
+
+std::optional<sweep_spec> read_text(const std::string& text) {
+  std::istringstream is(text);
+  return sweep_spec::read(is);
+}
+
+TEST(sweep_spec, read_rejects_specs_no_component_can_be_built_from) {
+  // Each of these once aborted whoever built the component (a serving
+  // daemon, axc_client key, a worker) instead of failing the parse.
+  using test::replace_line;
+  const std::string mult = written(mult_spec_small());
+  const auto at_width = [&mult](const char* width) {
+    return replace_line(replace_line(mult, "width", width), "distribution",
+                        "distribution 0");
+  };
+  sweep_spec adder = mult_spec_small();
+  adder.component = "adder";
+  adder.options.distribution = {};
+  std::string negative_mass = "distribution 16 -1";
+  for (int k = 1; k < 16; ++k) negative_mass += " 1";
+  const struct {
+    const char* what;
+    std::string text;
+  } cases[] = {
+      {"distribution count neither 0 nor 2^width",
+       replace_line(mult, "distribution", "distribution 3 0.5 0.25 0.25")},
+      {"width 0", at_width("width 0")},
+      {"width above the table cap", at_width("width 13")},
+      {"seed inputs do not match the width", at_width("width 5")},
+      {"seed outputs do not match the component", written(adder)},
+      {"lambda 0", replace_line(mult, "lambda", "lambda 0")},
+      {"max-mutations 0",
+       replace_line(mult, "max-mutations", "max-mutations 0")},
+      {"negative mass", replace_line(mult, "distribution", negative_mass)},
+      {"non-finite mass",
+       replace_line(mult, "distribution",
+                    "distribution 16 inf 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1")},
+      {"zero total mass",
+       replace_line(mult, "distribution",
+                    "distribution 16 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0")},
+      {"target above 1", replace_line(mult, "targets", "targets 1 2")},
+      {"negative target", replace_line(mult, "targets", "targets 1 -0.5")},
+  };
+  ASSERT_TRUE(read_text(mult).has_value());
+  // The adder case differs from a valid adder spec only in its seed.
+  adder.seed = mult::ripple_adder(4);
+  ASSERT_TRUE(read_text(written(adder)).has_value());
+  for (const auto& c : cases) {
+    EXPECT_NE(c.text, mult) << c.what;
+    EXPECT_FALSE(read_text(c.text).has_value()) << c.what;
+  }
+}
+
+TEST(sweep_spec, retired_execution_lines_are_required_and_ignored) {
+  // v1 specs written before `threads` and `incremental` were retired carry
+  // any values there; they must parse to the same store identity, and
+  // write() must keep emitting both lines so older readers still parse.
+  using test::replace_line;
+  const sweep_spec original = mult_spec_small();
+  const std::string text = written(original);
+  EXPECT_NE(text.find("\nthreads 1\n"), std::string::npos);
+  EXPECT_NE(text.find("\nincremental 1\n"), std::string::npos);
+  const auto legacy = read_text(
+      replace_line(replace_line(text, "threads", "threads 4"), "incremental",
+                   "incremental 0"));
+  ASSERT_TRUE(legacy.has_value());
+  EXPECT_EQ(legacy->store_key(), original.store_key());
+  EXPECT_EQ(written(*legacy), text);
+  EXPECT_FALSE(read_text(replace_line(text, "threads", "")).has_value());
+  EXPECT_FALSE(read_text(replace_line(text, "incremental", "")).has_value());
 }
 
 TEST(run_sweep_inprocess, matches_plain_session_at_any_job_threads) {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "circuit/gate.h"
@@ -10,6 +11,21 @@
 #include "support/rng.h"
 
 namespace axc::test {
+
+/// `text` with its first line (below the first) whose first word is `key`
+/// replaced by `line`; an empty `line` drops it.  Unchanged when no line
+/// matches.  Edits one field of a line-based text format (sweep specs,
+/// serve requests) into a hostile variant.
+inline std::string replace_line(const std::string& text,
+                                const std::string& key,
+                                const std::string& line) {
+  const std::size_t at = text.find("\n" + key + " ");
+  if (at == std::string::npos) return text;
+  const std::size_t end = text.find('\n', at + 1);
+  if (end == std::string::npos) return text;
+  return text.substr(0, at + 1) + line +
+         text.substr(line.empty() ? end + 1 : end);
+}
 
 /// Reference single-assignment evaluator (no bit-parallel tricks): input
 /// assignment packed as bit i = input i; returns packed outputs.
